@@ -48,13 +48,14 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
     return out
 
 
-def forensics_summary(events: Iterable[Mapping]) -> Optional[dict]:
-    """Compact digest of a run's forensics events (``None`` when absent).
+def forensics_summary(aggregates: Sequence[Mapping]) -> Optional[dict]:
+    """Compact digest of a run's forensics aggregates (``None`` when absent).
 
-    Used by :func:`repro.telemetry.summary.summarize_run`: totals plus
-    the top first-divergence layers across every whole-model aggregate.
+    ``aggregates`` is the :func:`~repro.forensics.aggregate.aggregate_events`
+    result.  Used by :func:`repro.telemetry.summary.summarize_run`: totals
+    plus the top first-divergence layers across every whole-model
+    aggregate.
     """
-    aggregates = aggregate_events(events)
     if not aggregates:
         return None
     totals = {
@@ -200,11 +201,10 @@ def render_forensics(
         raise ValueError(
             f"unknown metric {metric!r}; choose from {HEATMAP_METRICS}"
         )
-    events = list(events)
     aggregates = aggregate_events(events)
     if not aggregates:
         return "no forensics events recorded (run with forensics enabled)"
-    totals = forensics_summary(events)
+    totals = forensics_summary(aggregates)
     lines = [
         "Fault forensics — "
         f"{totals['draws']} draws, {totals['samples']} sample evaluations, "

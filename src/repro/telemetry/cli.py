@@ -206,25 +206,36 @@ def _cmd_ls(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_events(run_dir: str) -> None:
-    """Reject an empty event log with a clear error instead of degenerate
-    output (``show``) or an empty trace (``trace``)."""
+def _no_events(run_dir: str) -> FileNotFoundError:
+    return FileNotFoundError(
+        f"run directory {run_dir!r} has no readable events "
+        "(empty or fully corrupt events.jsonl)"
+    )
+
+
+def _require_events(run_dir: str) -> List[dict]:
+    """The run's events; an empty log is rejected with a clear error
+    instead of degenerate output or an empty trace."""
     from .events import read_events
 
-    if not read_events(os.path.join(run_dir, "events.jsonl")):
-        raise FileNotFoundError(
-            f"run directory {run_dir!r} has no readable events "
-            "(empty or fully corrupt events.jsonl)"
-        )
+    events = read_events(os.path.join(run_dir, "events.jsonl"))
+    if not events:
+        raise _no_events(run_dir)
+    return events
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
     run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
     if args.json:
-        print(json.dumps(RunRecord.from_run_dir(run_dir).as_dict(), indent=2))
-        return 0
-    print(render_summary(summarize_run(run_dir), top=args.top))
+        digest = RunRecord.from_run_dir(run_dir).as_dict()
+    else:
+        digest = summarize_run(run_dir)
+    if not digest["num_events"]:
+        raise _no_events(run_dir)
+    if args.json:
+        print(json.dumps(digest, indent=2))
+    else:
+        print(render_summary(digest, top=args.top))
     return 0
 
 
@@ -249,7 +260,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_flame(args: argparse.Namespace) -> int:
-    from .events import read_events
     from .profiling import (
         build_speedscope,
         merge_profile_events,
@@ -259,8 +269,7 @@ def _cmd_flame(args: argparse.Namespace) -> int:
     )
 
     run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
-    events = read_events(os.path.join(run_dir, "events.jsonl"))
+    events = _require_events(run_dir)
     merged = merge_profile_events(events)
     if not merged.counts:
         print(
@@ -299,11 +308,8 @@ def _cmd_flame(args: argparse.Namespace) -> int:
 
 def _cmd_forensics(args: argparse.Namespace) -> int:
     from ..forensics.render import render_forensics
-    from .events import read_events
 
-    run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
-    events = read_events(os.path.join(run_dir, "events.jsonl"))
+    events = _require_events(find_run_dir(args.run))
     if args.json:
         from ..forensics.aggregate import aggregate_events
 
@@ -314,12 +320,10 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .events import read_events
     from .schema import validate_events
 
     run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
-    events = read_events(os.path.join(run_dir, "events.jsonl"))
+    events = _require_events(run_dir)
     problems = validate_events(events)
     if not problems:
         print(f"{run_dir}: {len(events)} event(s) conform to the schema")

@@ -3,11 +3,13 @@
 One telemetry run directory is self-describing (``events.jsonl``,
 ``metrics.json``, ``run.json``, ``trace.json``) but answering "which run
 produced the Table 1 numbers, and is tonight's run slower?" needs the
-*set* of runs in one place.  This module scans a telemetry parent
-directory into :class:`RunRecord` entries — run id, git SHA, config,
-headline metrics, span totals, duration — persists them as a versioned
-``index.json``, and implements the ``diff`` used by
-``python -m repro.telemetry`` to compare two runs and flag regressions.
+*set* of runs in one place.  This module reads no run artefact
+itself: it projects each run's
+:func:`~repro.telemetry.summary.summarize_run` digest into a
+:class:`RunRecord` — run id, git SHA, config, headline metrics, span
+totals, duration — persists the records as a versioned ``index.json``,
+and implements the ``diff`` used by ``python -m repro.telemetry`` to
+compare two runs and flag regressions.
 
 Regressions are time-shaped by construction: a span (or ``*_seconds``
 histogram) whose total grew beyond the relative threshold.  Metric
@@ -19,12 +21,16 @@ so that judgement stays with the reader.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Union
 
-from .events import read_events_with_errors
+from .summary import (
+    _is_run_dir,
+    _load_optional_json,
+    _run_dirs,
+    summarize_run,
+)
 
 __all__ = [
     "INDEX_VERSION",
@@ -54,7 +60,7 @@ DEFAULT_REGRESSION_THRESHOLD = 0.25
 class RunRecord:
     """One run's ledger entry — everything ``ls``/``diff`` need.
 
-    Built from a run directory's artefacts; every field degrades to a
+    Projected from the run's digest; every field degrades to a
     ``None``/empty value when the corresponding artefact is missing or
     partial (a crashed run still gets a record).
     """
@@ -84,54 +90,27 @@ class RunRecord:
 
     @classmethod
     def from_run_dir(cls, run_dir: str) -> "RunRecord":
-        """Digest one run directory into a ledger record."""
-        record = cls(run_id=os.path.basename(run_dir.rstrip("/")), run_dir=run_dir)
-        meta = _load_optional_json(os.path.join(run_dir, "run.json"))
-        if meta:
-            record.run_id = meta.get("run_id", record.run_id)
-            record.config = meta.get("config", {}) or {}
-            provenance = meta.get("provenance", {}) or {}
-            record.git_sha = provenance.get("git_sha")
-            record.started_at = provenance.get("started_at")
-            record.duration_seconds = provenance.get("duration_seconds")
-        metrics = _load_optional_json(os.path.join(run_dir, "metrics.json"))
-        if metrics:
-            record.counters = metrics.get("counters", {}) or {}
-            record.gauges = metrics.get("gauges", {}) or {}
-            record.histograms = metrics.get("histograms", {}) or {}
-        events_path = os.path.join(run_dir, "events.jsonl")
-        if os.path.isfile(events_path):
-            events, skipped = read_events_with_errors(events_path)
-            record.num_events = len(events)
-            record.skipped_lines = skipped
-            for event in events:
-                if event.get("kind") != "span_end":
-                    continue
-                entry = record.spans.setdefault(
-                    str(event.get("path")), {"count": 0, "seconds": 0.0}
-                )
-                entry["count"] += 1
-                entry["seconds"] += float(event.get("seconds", 0.0))
-        return record
-
-
-def _load_optional_json(path: str) -> Optional[dict]:
-    if not os.path.isfile(path):
-        return None
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (json.JSONDecodeError, OSError) as exc:
-        logging.getLogger("repro.telemetry").warning(
-            "%s: unreadable run artefact (%s); ignoring", path, exc
+        """Project one run's :func:`~repro.telemetry.summary.summarize_run`
+        digest into a ledger record."""
+        summary = summarize_run(run_dir)
+        metrics = summary.get("metrics") or {}
+        return cls(
+            run_id=summary["run_id"],
+            run_dir=summary["run_dir"],
+            git_sha=summary["git_sha"],
+            config=summary["config"],
+            started_at=summary["started_at"],
+            duration_seconds=summary["duration_seconds"],
+            num_events=summary["num_events"],
+            skipped_lines=summary["skipped_lines"],
+            counters=metrics.get("counters") or {},
+            gauges=metrics.get("gauges") or {},
+            histograms=metrics.get("histograms") or {},
+            spans={
+                path: {"count": entry["count"], "seconds": entry["seconds"]}
+                for path, entry in summary["spans"].items()
+            },
         )
-        return None
-
-
-def _is_run_dir(path: str) -> bool:
-    return os.path.isfile(os.path.join(path, "events.jsonl")) or os.path.isfile(
-        os.path.join(path, "run.json")
-    )
 
 
 def scan_runs(directory: str) -> List[RunRecord]:
@@ -140,15 +119,7 @@ def scan_runs(directory: str) -> List[RunRecord]:
     ``directory`` may itself be a single run directory, in which case the
     result has exactly one record.
     """
-    if _is_run_dir(directory):
-        return [RunRecord.from_run_dir(directory)]
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"no such telemetry directory: {directory!r}")
-    records = [
-        RunRecord.from_run_dir(os.path.join(directory, entry))
-        for entry in sorted(os.listdir(directory))
-        if _is_run_dir(os.path.join(directory, entry))
-    ]
+    records = [RunRecord.from_run_dir(run) for run in _run_dirs(directory)]
     return sorted(records, key=lambda r: r.run_id)
 
 

@@ -1,13 +1,15 @@
-"""Cross-run HTML dashboard: curves, Stability ranking, cost breakdowns.
+"""Cross-run HTML dashboard: renders run digests as one static page.
 
-``python -m repro.telemetry report <dir>`` aggregates every run under a
+``python -m repro.telemetry report <dir>`` renders every run under a
 telemetry ledger directory into **one self-contained static HTML file**
-(inline CSS, inline SVG, no external assets, no JavaScript required):
+(inline CSS, inline SVG, no external assets, no JavaScript required).
+This module reads no run directory itself: each run is the
+:func:`repro.telemetry.summary.summarize_run` digest, which
+:func:`build_report` combines with the repo's ``BENCH_*.json`` baselines
+into the report document that :func:`render_report` turns into HTML:
 
 * accuracy-vs-``P_sa`` curves, one line per ``(run, training method)``,
-  built from the ``method_report`` events the experiment runner emits
-  (with a fallback to raw ``defect_eval`` events for runs recorded
-  before that event existed);
+  from the digest's ``methods`` rows;
 * a Stability-Score ranking table — equation (1) of the paper, scored at
   the largest tested fault rate of each variant;
 * a fault-forensics section per probed run: a per-layer deviation
@@ -33,10 +35,9 @@ import json
 import math
 import os
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .events import read_events_with_errors
-from .ledger import RunRecord, scan_runs
+from .summary import _run_dirs, summarize_run
 
 __all__ = [
     "build_report",
@@ -59,7 +60,7 @@ _BENCH_PATTERN = re.compile(r"^BENCH_(\d+)\.json$")
 
 
 # ---------------------------------------------------------------------------
-# data collection
+# report document
 # ---------------------------------------------------------------------------
 def _fmt(value: Optional[float], digits: int = 2) -> str:
     """Deterministic fixed-point formatting; ``-`` for missing values."""
@@ -72,54 +73,6 @@ def _fmt_bytes(value: Optional[float]) -> str:
     if value is None:
         return "-"
     return f"{value / (1024 * 1024):.1f} MiB"
-
-
-def _methods_from_events(events: List[dict], config: dict) -> List[dict]:
-    """Per-variant accuracy rows for one run.
-
-    Prefers ``method_report`` events (one per training variant); falls
-    back to synthesising a single row from ``defect_eval`` events for
-    runs recorded before ``method_report`` existed.
-    """
-    methods: List[dict] = []
-    for event in events:
-        if event.get("kind") != "method_report":
-            continue
-        defect = {
-            float(rate): float(acc)
-            for rate, acc in (event.get("defect") or {}).items()
-        }
-        methods.append(
-            {
-                "method": str(event.get("method", "?")),
-                "acc_pretrain": event.get("acc_pretrain"),
-                "acc_retrain": event.get("acc_retrain"),
-                "defect": defect,
-            }
-        )
-    if methods:
-        return methods
-
-    grid: Dict[float, float] = {}
-    for event in events:
-        if event.get("kind") != "defect_eval":
-            continue
-        rate = event.get("p_sa")
-        acc = event.get("mean_accuracy")
-        if isinstance(rate, (int, float)) and isinstance(acc, (int, float)):
-            grid[float(rate)] = float(acc)
-    if not grid:
-        return []
-    clean = grid.get(0.0, max(grid.values()))
-    label = str(config.get("experiment") or config.get("method") or "run")
-    return [
-        {
-            "method": label,
-            "acc_pretrain": clean,
-            "acc_retrain": clean,
-            "defect": grid,
-        }
-    ]
 
 
 def _stability_entry(run_id: str, method: dict) -> Optional[dict]:
@@ -149,130 +102,6 @@ def _stability_entry(run_id: str, method: dict) -> Optional[dict]:
         "acc_retrain": acc_re,
         "acc_defect": acc_defect,
         "stability_score": score,
-    }
-
-
-def _resource_summary(record: RunRecord, events: List[dict]) -> dict:
-    """Memory/CPU profile of one run from monitor metrics + events."""
-    rss_hist = record.histograms.get("resource/rss_bytes") or {}
-    samples = [e for e in events if e.get("kind") == "resource_sample"]
-    worker_samples = sum(1 for e in samples if e.get("worker_pid") is not None)
-    max_rss = record.gauges.get("resource/max_rss_bytes")
-    if max_rss is None:
-        rss_values = [
-            e["rss_bytes"]
-            for e in samples
-            if isinstance(e.get("rss_bytes"), (int, float))
-        ]
-        max_rss = max(rss_values) if rss_values else None
-    return {
-        "samples": len(samples),
-        "worker_samples": worker_samples,
-        "max_rss_bytes": max_rss,
-        "mean_rss_bytes": rss_hist.get("mean"),
-        "cpu_seconds": record.gauges.get("resource/cpu_seconds"),
-        "heartbeats": sum(1 for e in events if e.get("kind") == "heartbeat"),
-        "stalls": sum(1 for e in events if e.get("kind") == "progress_stall"),
-    }
-
-
-def _model_cost_totals(events: List[dict]) -> List[dict]:
-    """The ``model_cost`` headline numbers recorded in a run, if any."""
-    totals = []
-    for event in events:
-        if event.get("kind") != "model_cost":
-            continue
-        totals.append(
-            {
-                "model": event.get("model"),
-                "params": event.get("params"),
-                "macs": event.get("macs"),
-                "flops": event.get("flops"),
-                "activation_bytes": event.get("activation_bytes"),
-                "crossbar_cells": event.get("crossbar_cells"),
-            }
-        )
-    return totals
-
-
-def _forensics_aggregates(events: List[dict]) -> List[dict]:
-    """Per-``(target, p_sa)`` forensics aggregates of one run, if recorded."""
-    if not any(e.get("kind") == "forensics_draw" for e in events):
-        return []
-    # Lazy import: repro.forensics imports telemetry, so a module-level
-    # import here would be circular.
-    from ..forensics.aggregate import aggregate_events
-
-    return aggregate_events(events)
-
-
-def _sweep_reports(events: List[dict]) -> List[dict]:
-    """The ``sweep_report`` leaderboards recorded in a run, if any."""
-    reports = []
-    for event in events:
-        if event.get("kind") != "sweep_report":
-            continue
-        reports.append(
-            {
-                "sweep": str(event.get("sweep", "?")),
-                "profile": str(event.get("profile", "?")),
-                "cells": event.get("cells"),
-                "entries": list(event.get("entries") or []),
-            }
-        )
-    return reports
-
-
-def _profile_summary(events: List[dict]) -> Optional[dict]:
-    """Merged sampling-profile digest of one run (None when unprofiled)."""
-    from .profiling import merge_profile_events, profile_interval_of
-
-    merged = merge_profile_events(events)
-    if not merged.counts:
-        return None
-    profile_events = [
-        event for event in events if event.get("kind") == "profile_stacks"
-    ]
-    return {
-        "samples": merged.samples,
-        "events": len(profile_events),
-        "worker_events": sum(
-            1 for event in profile_events
-            if event.get("worker_pid") is not None
-        ),
-        "interval": profile_interval_of(events),
-        "stacks": merged.to_wire(),
-    }
-
-
-def _collect_run(record: RunRecord) -> dict:
-    events_path = os.path.join(record.run_dir, "events.jsonl")
-    events: List[dict] = []
-    if os.path.isfile(events_path):
-        events, _ = read_events_with_errors(events_path)
-    top_spans = sorted(
-        record.spans.items(), key=lambda item: -item[1].get("seconds", 0.0)
-    )[:5]
-    return {
-        "run_id": record.run_id,
-        "config": dict(sorted(record.config.items())),
-        "git_sha": record.git_sha,
-        "duration_seconds": record.duration_seconds,
-        "num_events": record.num_events,
-        "methods": _methods_from_events(events, record.config),
-        "resources": _resource_summary(record, events),
-        "model_cost": _model_cost_totals(events),
-        "profile": _profile_summary(events),
-        "forensics": _forensics_aggregates(events),
-        "sweeps": _sweep_reports(events),
-        "spans": [
-            {
-                "path": path,
-                "count": entry.get("count", 0),
-                "seconds": entry.get("seconds", 0.0),
-            }
-            for path, entry in top_spans
-        ],
     }
 
 
@@ -315,15 +144,18 @@ def _bench_trends(bench_files: Sequence[str]) -> List[dict]:
 def build_report(
     directory: str, bench_dir: Optional[str] = None
 ) -> dict:
-    """Aggregate every run under ``directory`` into the report document.
+    """Combine the digest of every run under ``directory`` into the
+    report document.
 
     Raises ``FileNotFoundError`` when the directory holds no runs at all,
     so the CLI can exit 2 with a clear message.
     """
-    records = scan_runs(directory)
-    if not records:
+    runs = sorted(
+        (summarize_run(run_dir) for run_dir in _run_dirs(directory)),
+        key=lambda run: run["run_id"],
+    )
+    if not runs:
         raise FileNotFoundError(f"no telemetry runs under {directory!r}")
-    runs = [_collect_run(record) for record in records]
 
     curves = []
     for run in runs:
@@ -445,7 +277,7 @@ def _heat_color(fraction: float) -> str:
 
 def _svg_deviation_heatmap(aggregates: List[dict]) -> str:
     """Per-layer deviation heatmap (layers × P_sa), coloured by rel_l2."""
-    # Lazy import mirrors _forensics_aggregates (circularity).
+    # Lazy import: repro.forensics imports telemetry (circularity).
     from ..forensics.aggregate import deviation_matrix
 
     layers, rates, cells = deviation_matrix(aggregates, metric="rel_l2")
@@ -642,7 +474,7 @@ def _render_run(run: dict) -> str:
     parts = [f"<h3><code>{html.escape(run['run_id'])}</code></h3>"]
     config = ", ".join(
         f"{html.escape(str(k))}={html.escape(str(v))}"
-        for k, v in run["config"].items()
+        for k, v in sorted(run["config"].items())
     )
     sha = (run.get("git_sha") or "-")[:8]
     parts.append(
@@ -652,19 +484,20 @@ def _render_run(run: dict) -> str:
         + (f" · {config}" if config else "")
         + "</p>"
     )
-    if run["spans"]:
+    spans = sorted(run["spans"].items(), key=lambda item: -item[1]["seconds"])
+    if spans:
         parts.append(
             _table(
                 ["span", "count", "seconds"],
                 [
-                    [html.escape(s["path"]), str(s["count"]),
-                     _fmt(s["seconds"], 3)]
-                    for s in run["spans"]
+                    [html.escape(path), str(entry["count"]),
+                     _fmt(entry["seconds"], 3)]
+                    for path, entry in spans[:5]
                 ],
             )
         )
-    res = run["resources"]
-    if res["samples"]:
+    res = run["resources"] or {}
+    if res.get("samples"):
         parts.append(
             _table(
                 ["samples (workers)", "peak RSS", "mean RSS", "CPU time",
@@ -699,8 +532,8 @@ def _render_run(run: dict) -> str:
                 ]],
             )
         )
-    profile = run.get("profile")
-    if profile:
+    profile = run["profile"]
+    if profile and profile["stacks"]:
         from .profiling import StackAggregate, render_flamegraph_svg
 
         aggregate = StackAggregate.from_wire(profile["stacks"])
@@ -728,7 +561,7 @@ def _render_forensics(runs: List[dict]) -> str:
     """Fault-forensics section: one heatmap + attribution per probed run."""
     parts: List[str] = []
     for run in runs:
-        aggregates = run.get("forensics") or []
+        aggregates = (run["forensics"] or {}).get("groups") or []
         whole_model = [a for a in aggregates if not a.get("target")]
         if not whole_model:
             continue

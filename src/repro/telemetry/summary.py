@@ -1,11 +1,15 @@
-"""Offline reconstruction of a finished run from its artefact directory.
+"""Reading a finished run back: the one digest every offline view renders.
 
-``summarize_run`` re-reads ``events.jsonl`` (plus ``metrics.json`` and
-``run.json`` when present) and digests it into one JSON-friendly dict:
-training curve (per-epoch loss / accuracy / wall time), the per-rate
-defect-draw distributions (with seeds), span wall-clock totals, and event
-counts by kind.  ``render_summary`` formats that dict as a text report —
-the backing of ``python -m repro.experiments summary <run_dir>``.
+:func:`summarize_run` is the only code that opens a run directory.  It
+reads ``run.json`` and ``metrics.json`` once each and ``events.jsonl`` in
+a single pass, and digests them into one JSON-friendly dict: provenance,
+the training curve, per-rate defect-draw distributions (with seeds), span
+totals, fault realization, model cost, resources, the merged sampling
+profile, forensics aggregates and the ``method_report``/``sweep_report``
+rows.  This module renders that digest as the text report behind
+``python -m repro.telemetry show`` and ``python -m repro.experiments
+summary`` (:func:`render_summary`); the run ledger projects it into
+index records and the HTML dashboard renders it per run.
 """
 
 from __future__ import annotations
@@ -27,27 +31,42 @@ __all__ = ["find_run_dir", "summarize_run", "render_summary"]
 _NOMINAL_SA1_SHARE = 9.04 / (1.75 + 9.04)
 
 
-def find_run_dir(path: str) -> str:
-    """Resolve ``path`` to a run directory.
+def _is_run_dir(path: str) -> bool:
+    """A run directory holds an ``events.jsonl`` or a ``run.json``."""
+    return any(
+        os.path.isfile(os.path.join(path, name))
+        for name in ("events.jsonl", "run.json")
+    )
 
-    Accepts either a run directory itself (contains ``events.jsonl``) or
-    a telemetry parent directory, in which case the lexically last run
-    subdirectory is used (run ids sort chronologically).
-    """
-    if os.path.isfile(os.path.join(path, "events.jsonl")):
-        return path
+
+def _run_dirs(path: str) -> List[str]:
+    """``path`` itself when it is a run directory, else its run
+    subdirectories in name order (run ids sort chronologically)."""
+    if _is_run_dir(path):
+        return [path]
     if not os.path.isdir(path):
         # A file (or nothing at all): a clear error beats the
         # NotADirectoryError traceback os.listdir would raise.
         raise FileNotFoundError(f"not a run directory: {path!r}")
-    candidates = sorted(
-        entry
-        for entry in os.listdir(path)
-        if os.path.isfile(os.path.join(path, entry, "events.jsonl"))
-    )
-    if not candidates:
-        raise FileNotFoundError(f"no run with an events.jsonl under {path!r}")
-    return os.path.join(path, candidates[-1])
+    return [
+        os.path.join(path, entry)
+        for entry in sorted(os.listdir(path))
+        if _is_run_dir(os.path.join(path, entry))
+    ]
+
+
+def find_run_dir(path: str) -> str:
+    """Resolve ``path`` to a run directory.
+
+    Accepts either a run directory itself (contains ``events.jsonl`` or
+    ``run.json``) or a telemetry parent directory, in which case the
+    lexically last run subdirectory is used (run ids sort
+    chronologically).
+    """
+    runs = _run_dirs(path)
+    if not runs:
+        raise FileNotFoundError(f"no telemetry run under {path!r}")
+    return runs[-1]
 
 
 def _load_optional_json(path: str) -> Optional[dict]:
@@ -65,159 +84,38 @@ def _load_optional_json(path: str) -> Optional[dict]:
         return None
 
 
-def summarize_run(path: str) -> dict:
-    """Digest one run's event log into a JSON-friendly summary dict."""
-    run_dir = find_run_dir(path)
-    events, skipped = read_events_with_errors(
-        os.path.join(run_dir, "events.jsonl")
-    )
-    summary: dict = {
-        "run_dir": run_dir,
-        "run_id": events[0]["run_id"] if events else None,
-        "num_events": len(events),
-        "skipped_lines": skipped,
-        "events_by_kind": {},
-        "config": {},
-        "epochs": [],
-        "defect": {},
-        "spans": {},
-        "fault_realization": None,
-        "model_cost": [],
-        "resources": None,
-        "profile": None,
-        "forensics": None,
-    }
-    run_meta = _load_optional_json(os.path.join(run_dir, "run.json"))
-    if run_meta:
-        summary["config"] = run_meta.get("config", {})
-    metrics = _load_optional_json(os.path.join(run_dir, "metrics.json"))
-    if metrics is not None:
-        summary["metrics"] = metrics
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    by_kind: Dict[str, int] = {}
+
+def _spans(span_ends: List[dict]) -> Dict[str, dict]:
+    spans: Dict[str, dict] = {}
+    for event in span_ends:
+        entry = spans.setdefault(
+            str(event.get("path")),
+            {"count": 0, "seconds": 0.0, "workers": {}},
+        )
+        seconds = float(event.get("seconds", 0.0))
+        entry["count"] += 1
+        entry["seconds"] += seconds
+        pid = event.get("worker_pid")
+        label = "main" if pid is None else f"worker-{pid}"
+        worker = entry["workers"].setdefault(
+            label, {"count": 0, "seconds": 0.0}
+        )
+        worker["count"] += 1
+        worker["seconds"] += seconds
+    return spans
+
+
+def _defect(defect_draws: List[dict]) -> Dict[str, dict]:
     draws: Dict[float, List[dict]] = {}
-    faults = {"injections": 0, "cells": 0, "sa0": 0, "sa1": 0}
-    resources = {
-        "samples": 0,
-        "worker_samples": 0,
-        "max_rss_bytes": None,
-        "cpu_seconds": None,
-        "heartbeats": 0,
-        "stalls": 0,
-    }
-    profile = {
-        "events": 0,
-        "worker_events": 0,
-        "samples": 0,
-        "interval": None,
-        "stacks": {},
-    }
-    for event in events:
-        kind = event["kind"]
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        if kind == "run_start" and not summary["config"]:
-            summary["config"] = event.get("config", {})
-        elif kind == "epoch_end":
-            summary["epochs"].append(
-                {
-                    "epoch": event.get("epoch"),
-                    "loss": event.get("loss"),
-                    "train_accuracy": event.get("train_accuracy"),
-                    "p_sa": event.get("p_sa"),
-                    "seconds": event.get("seconds"),
-                    "grad_norm_pre_clip": event.get("grad_norm_pre_clip"),
-                    "grad_norm_post_clip": event.get("grad_norm_post_clip"),
-                    "update_ratio": event.get("update_ratio"),
-                }
-            )
-        elif kind == "defect_draw":
-            draws.setdefault(float(event["p_sa"]), []).append(event)
-        elif kind == "span_end":
-            entry = summary["spans"].setdefault(
-                event["path"], {"count": 0, "seconds": 0.0, "workers": {}}
-            )
-            seconds = float(event.get("seconds", 0.0))
-            entry["count"] += 1
-            entry["seconds"] += seconds
-            pid = event.get("worker_pid")
-            label = "main" if pid is None else f"worker-{pid}"
-            worker = entry["workers"].setdefault(
-                label, {"count": 0, "seconds": 0.0}
-            )
-            worker["count"] += 1
-            worker["seconds"] += seconds
-        elif kind == "fault_inject" and "sa0" in event:
-            faults["injections"] += 1
-            faults["cells"] += int(event.get("cells_total", 0))
-            faults["sa0"] += int(event["sa0"])
-            faults["sa1"] += int(event.get("sa1", 0))
-        elif kind == "model_cost":
-            summary["model_cost"].append(
-                {
-                    "model": event.get("model"),
-                    "params": event.get("params"),
-                    "macs": event.get("macs"),
-                    "flops": event.get("flops"),
-                    "activation_bytes": event.get("activation_bytes"),
-                    "crossbar_cells": event.get("crossbar_cells"),
-                }
-            )
-        elif kind == "resource_sample":
-            resources["samples"] += 1
-            if event.get("worker_pid") is not None:
-                resources["worker_samples"] += 1
-            rss = event.get("rss_bytes")
-            if isinstance(rss, (int, float)):
-                best = resources["max_rss_bytes"]
-                resources["max_rss_bytes"] = (
-                    rss if best is None else max(best, rss)
-                )
-            cpu = event.get("cpu_seconds")
-            # Last parent sample wins: CPU time is cumulative per process.
-            if isinstance(cpu, (int, float)) and event.get("worker_pid") is None:
-                resources["cpu_seconds"] = cpu
-        elif kind == "heartbeat":
-            resources["heartbeats"] += 1
-        elif kind == "progress_stall":
-            resources["stalls"] += 1
-        elif kind == "profile_stacks":
-            profile["events"] += 1
-            if event.get("worker_pid") is not None:
-                profile["worker_events"] += 1
-            profile["samples"] += int(event.get("samples") or 0)
-            if profile["interval"] is None and event.get("interval"):
-                profile["interval"] = float(event["interval"])
-            for key, count in (event.get("stacks") or {}).items():
-                profile["stacks"][key] = profile["stacks"].get(key, 0) + int(
-                    count
-                )
-    summary["events_by_kind"] = dict(sorted(by_kind.items()))
-    if by_kind.get("forensics_draw"):
-        from ..forensics.render import forensics_summary
-
-        summary["forensics"] = forensics_summary(events)
-    if resources["samples"] or resources["heartbeats"] or resources["stalls"]:
-        summary["resources"] = resources
-    if profile["events"]:
-        from .profiling import StackAggregate, function_totals
-
-        aggregate = StackAggregate.from_wire(profile.pop("stacks"))
-        profile["functions"] = function_totals(aggregate)
-        summary["profile"] = profile
-    if faults["injections"]:
-        faulted = faults["sa0"] + faults["sa1"]
-        faults["realized_p_sa"] = (
-            faulted / faults["cells"] if faults["cells"] else None
-        )
-        faults["realized_sa1_share"] = (
-            faults["sa1"] / faulted if faulted else None
-        )
-        faults["nominal_sa1_share"] = _NOMINAL_SA1_SHARE
-        summary["fault_realization"] = faults
-
+    for event in defect_draws:
+        draws.setdefault(float(event["p_sa"]), []).append(event)
+    defect = {}
     for rate in sorted(draws):
         accuracies = [float(d["accuracy"]) for d in draws[rate]]
-        summary["defect"][str(rate)] = {
+        defect[str(rate)] = {
             "draws": len(accuracies),
             "mean_accuracy": float(np.mean(accuracies)),
             "std_accuracy": float(np.std(accuracies)),
@@ -225,6 +123,218 @@ def summarize_run(path: str) -> dict:
             "max_accuracy": float(np.max(accuracies)),
             "seeds": [d.get("seed") for d in draws[rate]],
         }
+    return defect
+
+
+def _fault_realization(injections: List[dict]) -> Optional[dict]:
+    faults = {"injections": 0, "cells": 0, "sa0": 0, "sa1": 0}
+    for event in injections:
+        if "sa0" not in event:
+            continue
+        faults["injections"] += 1
+        faults["cells"] += int(event.get("cells_total", 0))
+        faults["sa0"] += int(event["sa0"])
+        faults["sa1"] += int(event.get("sa1", 0))
+    if not faults["injections"]:
+        return None
+    faulted = faults["sa0"] + faults["sa1"]
+    faults["realized_p_sa"] = (
+        faulted / faults["cells"] if faults["cells"] else None
+    )
+    faults["realized_sa1_share"] = (
+        faults["sa1"] / faulted if faulted else None
+    )
+    faults["nominal_sa1_share"] = _NOMINAL_SA1_SHARE
+    return faults
+
+
+def _peak_rss(sample: dict) -> Optional[float]:
+    """A sample's peak RSS: ``max_rss_bytes``, else ``rss_bytes``."""
+    for key in ("max_rss_bytes", "rss_bytes"):
+        if _is_number(sample.get(key)):
+            return sample[key]
+    return None
+
+
+def _resources(
+    by_kind: Dict[str, List[dict]], metrics: dict
+) -> Optional[dict]:
+    """Monitor digest.  Peak RSS is the largest per-sample peak over every
+    parent and worker ``resource_sample``; CPU time is the last parent
+    sample (it is cumulative per process)."""
+    samples = by_kind.get("resource_sample", [])
+    heartbeats = len(by_kind.get("heartbeat", []))
+    stalls = len(by_kind.get("progress_stall", []))
+    if not (samples or heartbeats or stalls):
+        return None
+    peaks = [p for p in map(_peak_rss, samples) if p is not None]
+    parent_cpu = [
+        s["cpu_seconds"]
+        for s in samples
+        if s.get("worker_pid") is None and _is_number(s.get("cpu_seconds"))
+    ]
+    rss = (metrics.get("histograms") or {}).get("resource/rss_bytes") or {}
+    return {
+        "samples": len(samples),
+        "worker_samples": sum(
+            1 for s in samples if s.get("worker_pid") is not None
+        ),
+        "max_rss_bytes": max(peaks) if peaks else None,
+        "mean_rss_bytes": rss.get("mean"),
+        "cpu_seconds": parent_cpu[-1] if parent_cpu else None,
+        "heartbeats": heartbeats,
+        "stalls": stalls,
+    }
+
+
+def _profile(profile_events: List[dict]) -> Optional[dict]:
+    """Parent + worker ``profile_stacks`` merged into one sample multiset."""
+    if not profile_events:
+        return None
+    from .profiling import (
+        function_totals,
+        merge_profile_events,
+        profile_interval_of,
+    )
+
+    merged = merge_profile_events(profile_events)
+    return {
+        "events": len(profile_events),
+        "worker_events": sum(
+            1 for e in profile_events if e.get("worker_pid") is not None
+        ),
+        "samples": merged.samples,
+        "interval": profile_interval_of(profile_events),
+        "stacks": merged.to_wire(),
+        "functions": function_totals(merged),
+    }
+
+
+def _forensics(draw_events: List[dict]) -> Optional[dict]:
+    """Forensics totals plus ``groups``, the per-``(target, p_sa)``
+    aggregates (:func:`repro.forensics.aggregate.aggregate_events`)."""
+    if not draw_events:
+        return None
+    # Lazy imports: repro.forensics imports telemetry (circularity).
+    from ..forensics.aggregate import aggregate_events
+    from ..forensics.render import forensics_summary
+
+    aggregates = aggregate_events(draw_events)
+    return dict(forensics_summary(aggregates), groups=aggregates)
+
+
+def _methods(by_kind: Dict[str, List[dict]], config: dict) -> List[dict]:
+    """Per-variant accuracy rows for one run.
+
+    One row per ``method_report`` event; runs recorded before that event
+    existed get a single row synthesised from their ``defect_eval``
+    events.
+    """
+    methods = [
+        {
+            "method": str(event.get("method", "?")),
+            "acc_pretrain": event.get("acc_pretrain"),
+            "acc_retrain": event.get("acc_retrain"),
+            "defect": {
+                float(rate): float(acc)
+                for rate, acc in (event.get("defect") or {}).items()
+            },
+        }
+        for event in by_kind.get("method_report", [])
+    ]
+    if methods:
+        return methods
+    grid: Dict[float, float] = {}
+    for event in by_kind.get("defect_eval", []):
+        rate, acc = event.get("p_sa"), event.get("mean_accuracy")
+        if _is_number(rate) and _is_number(acc):
+            grid[float(rate)] = float(acc)
+    if not grid:
+        return []
+    clean = grid.get(0.0, max(grid.values()))
+    label = str(config.get("experiment") or config.get("method") or "run")
+    return [
+        {"method": label, "acc_pretrain": clean, "acc_retrain": clean,
+         "defect": grid}
+    ]
+
+
+def summarize_run(path: str) -> dict:
+    """Digest one run directory into a JSON-friendly summary dict.
+
+    ``path`` may also be a telemetry parent directory (its latest run is
+    used, see :func:`find_run_dir`).
+    """
+    run_dir = find_run_dir(path)
+    events_path = os.path.join(run_dir, "events.jsonl")
+    events, skipped = (
+        read_events_with_errors(events_path)
+        if os.path.isfile(events_path)
+        else ([], 0)
+    )
+    meta = _load_optional_json(os.path.join(run_dir, "run.json")) or {}
+    metrics = _load_optional_json(os.path.join(run_dir, "metrics.json"))
+
+    by_kind: Dict[str, List[dict]] = {}
+    for event in events:
+        by_kind.setdefault(str(event.get("kind")), []).append(event)
+    run_start = (by_kind.get("run_start") or [{}])[0]
+    config = meta.get("config") or run_start.get("config") or {}
+    provenance = meta.get("provenance") or {}
+    summary: dict = {
+        "run_dir": run_dir,
+        "run_id": meta.get("run_id")
+        or (events[0].get("run_id") if events else None)
+        or os.path.basename(run_dir.rstrip("/")),
+        "git_sha": provenance.get("git_sha"),
+        "started_at": provenance.get("started_at"),
+        "duration_seconds": provenance.get("duration_seconds"),
+        "num_events": len(events),
+        "skipped_lines": skipped,
+        "events_by_kind": {k: len(v) for k, v in sorted(by_kind.items())},
+        "config": config,
+        "epochs": [
+            {
+                key: event.get(key)
+                for key in (
+                    "epoch", "loss", "train_accuracy", "p_sa", "seconds",
+                    "grad_norm_pre_clip", "grad_norm_post_clip",
+                    "update_ratio",
+                )
+            }
+            for event in by_kind.get("epoch_end", [])
+        ],
+        "defect": _defect(by_kind.get("defect_draw", [])),
+        "spans": _spans(by_kind.get("span_end", [])),
+        "fault_realization": _fault_realization(
+            by_kind.get("fault_inject", [])
+        ),
+        "model_cost": [
+            {
+                key: event.get(key)
+                for key in (
+                    "model", "params", "macs", "flops", "activation_bytes",
+                    "crossbar_cells",
+                )
+            }
+            for event in by_kind.get("model_cost", [])
+        ],
+        "resources": _resources(by_kind, metrics or {}),
+        "profile": _profile(by_kind.get("profile_stacks", [])),
+        "forensics": _forensics(by_kind.get("forensics_draw", [])),
+        "methods": _methods(by_kind, config),
+        "sweeps": [
+            {
+                "sweep": str(event.get("sweep", "?")),
+                "profile": str(event.get("profile", "?")),
+                "cells": event.get("cells"),
+                "entries": list(event.get("entries") or []),
+            }
+            for event in by_kind.get("sweep_report", [])
+        ],
+    }
+    if metrics is not None:
+        summary["metrics"] = metrics
     return summary
 
 

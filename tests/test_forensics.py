@@ -302,7 +302,7 @@ def test_render_forensics_text(rng):
     assert "Per-layer deviation heatmap" in text
     assert "0.05" in text and "0.15" in text
     assert "First-divergence attribution" in text
-    summary = forensics_summary(events)
+    summary = forensics_summary(aggregate_events(events))
     assert summary["draws"] == 4 + 2 * len(
         {e["target"] for e in events if e.get("target")}
     )

@@ -9,11 +9,15 @@ path is replaced by ``<RUN_DIR>`` / ``<LEDGER>`` before comparing.
 
 import json
 import os
+import re
+import sys
 
 import pytest
 
-from repro.telemetry import render_summary, summarize_run
-from repro.telemetry.ledger import RunRecord
+from repro.telemetry import events as events_module
+from repro.telemetry import find_run_dir, render_summary, summarize_run
+from repro.telemetry.cli import main as cli_main
+from repro.telemetry.ledger import RunRecord, scan_runs
 from repro.telemetry.report import build_report, render_report
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "telemetry_golden")
@@ -209,6 +213,60 @@ def test_rendering_matches_golden(golden_ledger, name):
     with open(os.path.join(GOLDEN_DIR, name)) as handle:
         expected = handle.read()
     assert rendered_outputs(golden_ledger)[name] == expected
+
+
+def test_show_and_report_agree_on_peak_rss(golden_ledger, capsys):
+    # The worker's peak (120 MiB) exceeds every parent sample's, and the
+    # parent's max_rss_bytes gauge (110 MiB) is not the run's peak.
+    run_dir = os.path.join(golden_ledger, RUN_ID)
+    assert cli_main(["show", run_dir]) == 0
+    shown = re.search(r"peak RSS ([\d.]+ MiB)", capsys.readouterr().out)
+    html_text = render_report(build_report(golden_ledger))
+    reported = re.search(r"\(1\)</td><td>([\d.]+ MiB)</td>", html_text)
+    assert shown.group(1) == reported.group(1) == "120.0 MiB"
+
+
+@pytest.mark.parametrize(
+    "argv", [["show", "<run>"], ["show", "<run>", "--json"],
+             ["report", "<ledger>", "--json"]],
+)
+def test_each_command_parses_the_event_log_once(golden_ledger, argv,
+                                                monkeypatch, capsys):
+    original = events_module.read_events_with_errors
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    # Patch every telemetry module that bound the reader at import time.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(
+            module, "read_events_with_errors", None
+        ) is original:
+            monkeypatch.setattr(module, "read_events_with_errors", counting)
+    run_dir = os.path.join(golden_ledger, RUN_ID)
+    argv = [{"<run>": run_dir, "<ledger>": golden_ledger}.get(a, a)
+            for a in argv]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_a_run_json_only_directory_is_a_run_everywhere(tmp_path):
+    # A run killed before its first event still has a run.json; the
+    # ledger and the single-run commands agree that it is a run.
+    run_dir = tmp_path / "run-crashed"
+    run_dir.mkdir()
+    (run_dir / "run.json").write_text(
+        json.dumps({"run_id": "run-crashed", "config": {"seed": 1}})
+    )
+    assert find_run_dir(str(tmp_path)) == str(run_dir)
+    [record] = scan_runs(str(tmp_path))
+    assert record.run_id == "run-crashed"
+    assert record.config == {"seed": 1}
+    assert record.num_events == 0
+    assert summarize_run(str(tmp_path))["run_id"] == "run-crashed"
 
 
 if __name__ == "__main__":  # regenerate the golden files
