@@ -28,9 +28,7 @@ from ..nn.cost import crossbar_footprint, model_cost
 from ..parallel import Broadcast, ModelBroadcast, ParallelMap
 from ..reram.deploy import crossbar_parameters
 from ..reram.faults import WeightSpaceFaultModel
-from ..seeding import draw_streams, resolve_base_seed
 from ..telemetry import current as _telemetry
-from ..telemetry.progress import ProgressTracker
 from .injector import FaultInjector
 
 __all__ = [
@@ -80,9 +78,9 @@ def evaluate_one_draw(
 ) -> float:
     """One fault draw: inject, evaluate, restore.  The pure per-draw unit.
 
-    This is the function both the serial loops and ``repro.parallel``
-    workers execute: accuracy is a deterministic function of the model
-    weights, the loader, ``fault_cfg`` and ``seed_stream`` alone.
+    Every plain Monte Carlo draw executes this function, serial or in a
+    ``repro.parallel`` worker: accuracy is a deterministic function of
+    the model weights, the loader, ``fault_cfg`` and ``seed_stream`` alone.
     ``seed_stream`` is anything ``np.random.default_rng`` accepts — an
     int or :class:`~numpy.random.SeedSequence` for an independent
     per-draw stream (the parallel contract), or a live ``Generator``,
@@ -122,62 +120,46 @@ def emit_model_cost(model: nn.Module, loader: DataLoader) -> None:
     telemetry.emit("model_cost", model=type(model).__name__, **cost.as_dict())
 
 
-def _defect_draw_task(task: tuple, context: Dict[str, Any]) -> float:
-    """Per-draw task body shared by the serial and pool paths.
+def _defect_draw_task(task: tuple, context: Dict[str, Any]) -> tuple:
+    """One fault draw of a defect evaluation, serial or in a pool worker.
 
     ``task`` is ``(draw_index, draw_seed, seed_stream)``; ``draw_seed``
     is the scalar provenance value emitted on the ``defect_draw`` event
     (``None`` on the legacy shared-``rng`` path, where the stream *is*
-    the shared generator).
-    """
-    draw, draw_seed, seed_stream = task
-    accuracy = evaluate_one_draw(
-        context["model"], context["loader"], context["cfg"], seed_stream
-    )
-    telemetry = _telemetry()
-    telemetry.metrics.counter("eval/fault_draws_total").inc()
-    telemetry.metrics.histogram("eval/defect_accuracy").observe(accuracy)
-    telemetry.emit(
-        "defect_draw",
-        p_sa=context["cfg"].p_sa,
-        draw=draw,
-        seed=draw_seed,
-        accuracy=accuracy,
-    )
-    return accuracy
-
-
-def _forensic_draw_task(task: tuple, context: Dict[str, Any]) -> tuple:
-    """Forensic twin of :func:`_defect_draw_task`.
-
-    Draws the fault pattern through the *same* injector call (identical
-    RNG consumption and ``fault_inject`` event), then replays the draw
-    through a :class:`~repro.forensics.DeviationProbe` instead of a plain
-    evaluation.  Returns ``(accuracy, payload)`` — the accuracy is
-    bit-identical to what :func:`_defect_draw_task` would have returned.
+    the shared generator).  With ``context["forensics"]`` set, the same
+    injector call draws the fault pattern (identical RNG consumption and
+    ``fault_inject`` event) and the draw is replayed through a
+    :class:`~repro.forensics.DeviationProbe`; the accuracy is
+    bit-identical to the plain draw.  Returns ``(accuracy, payload)``,
+    with ``payload=None`` without forensics.
     """
     draw, draw_seed, seed_stream = task
     model = context["model"]
     cfg = context["cfg"]
-    rng = np.random.default_rng(seed_stream)
-    injector = FaultInjector(model, fault_model=cfg.fault_model, rng=rng)
-    injector.inject(cfg.p_sa)
-    try:
-        faulted = {
-            name: param.data.copy()
-            for name, param in crossbar_parameters(model)
-        }
-    finally:
-        injector.restore()
-    probe = DeviationProbe(model, context["forensics"])
-    accuracy, payload = probe.compare(context["loader"], faulted)
+    forensics = context["forensics"]
+    payload = None
+    if forensics is None:
+        accuracy = evaluate_one_draw(
+            model, context["loader"], cfg, seed_stream
+        )
+    else:
+        rng = np.random.default_rng(seed_stream)
+        injector = FaultInjector(model, fault_model=cfg.fault_model, rng=rng)
+        with injector.faults(cfg.p_sa):
+            faulted = {
+                name: param.data.copy()
+                for name, param in crossbar_parameters(model)
+            }
+        probe = DeviationProbe(model, forensics)
+        accuracy, payload = probe.compare(context["loader"], faulted)
     telemetry = _telemetry()
     telemetry.metrics.counter("eval/fault_draws_total").inc()
     telemetry.metrics.histogram("eval/defect_accuracy").observe(accuracy)
-    telemetry.metrics.counter("forensics/draws_total").inc()
-    telemetry.metrics.counter("forensics/prediction_flips_total").inc(
-        int(payload["num_flipped"])
-    )
+    if payload is not None:
+        telemetry.metrics.counter("forensics/draws_total").inc()
+        telemetry.metrics.counter("forensics/prediction_flips_total").inc(
+            int(payload["num_flipped"])
+        )
     telemetry.emit(
         "defect_draw",
         p_sa=cfg.p_sa,
@@ -185,9 +167,14 @@ def _forensic_draw_task(task: tuple, context: Dict[str, Any]) -> tuple:
         seed=draw_seed,
         accuracy=accuracy,
     )
-    telemetry.emit(
-        "forensics_draw", p_sa=cfg.p_sa, draw=draw, seed=draw_seed, **payload
-    )
+    if payload is not None:
+        telemetry.emit(
+            "forensics_draw",
+            p_sa=cfg.p_sa,
+            draw=draw,
+            seed=draw_seed,
+            **payload,
+        )
     return accuracy, payload
 
 
@@ -303,61 +290,27 @@ def evaluate_defect_accuracy(
         )
         return DefectEvaluation(0.0, clean, 0.0, [clean], seed=seed)
     cfg = FaultDrawSpec(p_sa=p_sa, fault_model=fault_model)
-    pmap = ParallelMap(workers)
-    if rng is not None:
-        base_seed = None
-        tasks = [(draw, None, rng) for draw in range(num_runs)]
-        if pmap.workers > 1:
-            telemetry.metrics.counter("parallel/fallbacks_total").inc()
-            telemetry.emit(
-                "parallel_fallback",
-                reason="shared rng stream is order-dependent",
-                workers=pmap.workers,
-            )
-    else:
-        base_seed = resolve_base_seed(seed)
-        streams = draw_streams(base_seed, num_runs)
-        tasks = [
-            (draw, base_seed + draw, streams[draw]) for draw in range(num_runs)
-        ]
-    task_fn = _forensic_draw_task if forensics is not None else _defect_draw_task
-    if rng is None and pmap.workers > 1:
-        results = pmap.map(
-            task_fn,
-            tasks,
-            Broadcast(
-                model=ModelBroadcast(model),
-                loader=loader,
-                cfg=cfg,
-                forensics=forensics,
-            ),
-        )
-    else:
-        context = {
-            "model": model,
-            "loader": loader,
-            "cfg": cfg,
-            "forensics": forensics,
-        }
-        tracker = ProgressTracker(
-            total=len(tasks), label=f"defect_eval p_sa={p_sa:g}"
-        )
-        results = []
-        for task in tasks:
-            results.append(task_fn(task, context))
-            tracker.update()
-        tracker.finish()
+    results, base_seed = ParallelMap(workers).map_draws(
+        _defect_draw_task,
+        range(num_runs),
+        Broadcast(
+            model=ModelBroadcast(model),
+            loader=loader,
+            cfg=cfg,
+            forensics=forensics,
+        ),
+        rng=rng,
+        seed=seed,
+    )
+    accuracies = [accuracy for accuracy, _ in results]
     aggregate = None
     if forensics is not None:
-        accuracies = [accuracy for accuracy, _ in results]
-        # Fold in draw (task) order — ParallelMap returns results in task
-        # order, so the aggregate is bit-identical at any worker count.
+        # Fold in draw order — map_draws returns results in key order, so
+        # the aggregate is bit-identical at any worker count.
         aggregate = aggregate_payloads([payload for _, payload in results])
         aggregate["p_sa"] = p_sa
         aggregate["target"] = None
         telemetry.emit("forensics_eval", seed=base_seed, **aggregate)
-    else:
-        accuracies = results
     evaluation = DefectEvaluation(
         p_sa,
         float(np.mean(accuracies)),

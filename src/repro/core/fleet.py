@@ -21,7 +21,6 @@ from .. import nn
 from ..datasets.loader import DataLoader
 from ..parallel import Broadcast, ModelBroadcast, ParallelMap
 from ..reram.faults import WeightSpaceFaultModel
-from ..seeding import draw_streams, resolve_base_seed
 from ..telemetry import current as _telemetry
 from .evaluate import FaultDrawSpec, evaluate_accuracy, evaluate_one_draw
 
@@ -139,34 +138,12 @@ def simulate_fleet(
         report.accuracies = [clean] * num_devices
         return report
     cfg = FaultDrawSpec(p_sa=p_sa, fault_model=fault_model)
-    pmap = ParallelMap(workers)
-    if rng is not None:
-        tasks = [(device, None, rng) for device in range(num_devices)]
-        if pmap.workers > 1:
-            telemetry.metrics.counter("parallel/fallbacks_total").inc()
-            telemetry.emit(
-                "parallel_fallback",
-                reason="shared rng stream is order-dependent",
-                workers=pmap.workers,
-            )
-    else:
-        base_seed = resolve_base_seed(seed)
-        report.seed = base_seed
-        streams = draw_streams(base_seed, num_devices)
-        tasks = [
-            (device, base_seed + device, streams[device])
-            for device in range(num_devices)
-        ]
     with telemetry.span("fleet_simulation"):
-        if rng is None and pmap.workers > 1:
-            report.accuracies = pmap.map(
-                _fleet_device_task,
-                tasks,
-                Broadcast(model=ModelBroadcast(model), loader=loader, cfg=cfg),
-            )
-        else:
-            context = {"model": model, "loader": loader, "cfg": cfg}
-            report.accuracies = [
-                _fleet_device_task(task, context) for task in tasks
-            ]
+        report.accuracies, report.seed = ParallelMap(workers).map_draws(
+            _fleet_device_task,
+            range(num_devices),
+            Broadcast(model=ModelBroadcast(model), loader=loader, cfg=cfg),
+            rng=rng,
+            seed=seed,
+        )
     return report

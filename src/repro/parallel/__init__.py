@@ -35,6 +35,7 @@ from .executor import ParallelExecutionError, ParallelMap, TaskFailure
 #: what puts it under static analysis.
 LINT_SUBMISSION_SITES = {
     "ParallelMap.map": 0,
+    "ParallelMap.map_draws": 0,
 }
 
 __all__ = [

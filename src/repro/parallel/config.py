@@ -6,7 +6,7 @@ bit-identical results for workers = 0, 1, 2, … and any chunk size, so it
 is safe to resolve the default from the environment.  Precedence:
 
 1. an explicit ``workers=`` argument (CLI ``--workers`` ends up here);
-2. the ``REPRO_WORKERS`` environment variable (``auto`` = CPU count);
+2. the ``REPRO_WORKERS`` environment variable (``auto`` = usable cores);
 3. ``0`` — serial execution, the conservative default.
 """
 
@@ -29,8 +29,9 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     """Resolve the effective worker count (0 or 1 mean serial).
 
     ``workers`` wins when not ``None``; otherwise :data:`WORKERS_ENV` is
-    consulted (empty → 0, ``auto`` → ``os.cpu_count()``, garbage → warn
-    and fall back to 0).  Negative counts are a caller bug and raise.
+    consulted (empty → 0, ``auto`` → the cores this process may run on,
+    garbage → warn and fall back to 0).  Negative counts are a caller
+    bug and raise.
     """
     if workers is not None:
         workers = int(workers)
@@ -41,7 +42,7 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if not raw:
         return 0
     if raw.lower() == "auto":
-        return os.cpu_count() or 1
+        return _usable_cores()
     try:
         value = int(raw)
     except ValueError:
@@ -57,6 +58,14 @@ def resolve_workers(workers: Optional[int] = None) -> int:
         )
         return 0
     return value
+
+
+def _usable_cores() -> int:
+    """Cores in this process's CPU affinity mask (``os.cpu_count()`` where
+    the platform has no affinity call): a CPU mask must not overcommit."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def default_chunk_size(num_tasks: int, workers: int) -> int:

@@ -20,6 +20,11 @@ pipeline relies on:
   serial execution, which is the same code path the task function takes
   inside a worker.
 
+:meth:`ParallelMap.map_draws` is the one Monte Carlo draw loop on top of
+:meth:`~ParallelMap.map`: defect evaluation, fleet simulation and layer
+sensitivity hand it their draw keys and get back per-draw results plus
+the base seed that re-materialises them.
+
 Pools are per-:meth:`~ParallelMap.map`-call; the broadcast bundle is
 pickled once per worker via the pool initialiser, not once per task.
 """
@@ -32,9 +37,12 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .. import telemetry
+from ..seeding import draw_streams, resolve_base_seed
 from ..telemetry.progress import ProgressTracker
 from .broadcast import Broadcast
 from .config import default_chunk_size, resolve_workers
@@ -147,7 +155,13 @@ class ParallelMap:
         broadcast: Optional[Broadcast],
     ) -> List[Any]:
         context = broadcast.materialize() if broadcast is not None else {}
-        return [fn(task, context) for task in tasks]
+        tracker = ProgressTracker(total=len(tasks), label="parallel_map")
+        results = []
+        for task in tasks:
+            results.append(fn(task, context))
+            tracker.update()
+        tracker.finish()
+        return results
 
     # -- pool plumbing ------------------------------------------------------
     def _make_pool(
@@ -255,12 +269,10 @@ class ParallelMap:
             reason,
         )
 
-    def _fallback(self, fn, tasks, broadcast, reason: str) -> List[Any]:
+    def _record_fallback(self, reason: str) -> None:
         run = telemetry.current()
         run.metrics.counter("parallel/fallbacks_total").inc()
         run.emit("parallel_fallback", reason=reason, workers=self.workers)
-        logger.warning("parallel execution unavailable (%s); running serial", reason)
-        return self._run_serial(fn, tasks, broadcast)
 
     # -- public API ---------------------------------------------------------
     def map(
@@ -287,7 +299,12 @@ class ParallelMap:
         try:
             pool = self._make_pool(broadcast, capture, monitor, profile)
         except Exception as exc:  # pool construction is best-effort
-            return self._fallback(fn, tasks, broadcast, f"pool creation failed: {exc}")
+            reason = f"pool creation failed: {exc}"
+            self._record_fallback(reason)
+            logger.warning(
+                "parallel execution unavailable (%s); running serial", reason
+            )
+            return self._run_serial(fn, tasks, broadcast)
 
         size = self.chunk_size or default_chunk_size(len(tasks), self.workers)
         chunks = [
@@ -334,6 +351,41 @@ class ParallelMap:
         if failures:
             raise ParallelExecutionError(failures, completed=len(results))
         return [results[i] for i in range(len(tasks))]
+
+    def map_draws(
+        self,
+        fn: Callable[[Any, Dict[str, Any]], Any],
+        keys: Sequence[Any],
+        broadcast: Optional[Broadcast] = None,
+        rng: Optional[np.random.Generator] = None,
+        seed: Optional[int] = None,
+    ) -> Tuple[List[Any], Optional[int]]:
+        """Run one Monte Carlo draw per key; returns ``(results, base_seed)``.
+
+        ``fn`` gets the task ``(key, draw_seed, seed_stream)``.  With a
+        ``seed`` (or neither argument, which draws a base seed from the
+        process-wide policy stream), draw ``i`` gets ``draw_seed =
+        base + i`` and the independent stream behind it, so the results
+        are bit-identical at any worker count.  A live ``rng`` is one
+        stream shared across draws in key order: it runs serial with
+        ``draw_seed=None``, records a ``parallel_fallback`` when workers
+        were asked for, and returns a base seed of ``None``.
+        """
+        if rng is not None and seed is not None:
+            raise ValueError("pass either rng or seed, not both")
+        keys = list(keys)
+        if rng is not None:
+            if self.workers > 1:
+                self._record_fallback("shared rng stream is order-dependent")
+            tasks = [(key, None, rng) for key in keys]
+            return self._run_serial(fn, tasks, broadcast), None
+        base = resolve_base_seed(seed)
+        streams = draw_streams(base, len(keys))
+        tasks = [
+            (key, base + i, stream)
+            for i, (key, stream) in enumerate(zip(keys, streams))
+        ]
+        return self.map(fn, tasks, broadcast), base
 
     # -- scheduling loop ----------------------------------------------------
     def _drive(

@@ -47,7 +47,7 @@ from .ledger import (
     render_diff,
 )
 from .summary import find_run_dir, render_summary, summarize_run
-from .trace import export_run_trace
+from .trace import write_trace
 
 __all__ = ["build_parser", "main"]
 
@@ -254,8 +254,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     run_dir = find_run_dir(args.run)
-    _require_events(run_dir)
-    print(export_run_trace(run_dir))
+    trace_path = os.path.join(run_dir, "trace.json")
+    write_trace(_require_events(run_dir), trace_path)
+    print(trace_path)
     return 0
 
 

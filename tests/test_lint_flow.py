@@ -336,6 +336,27 @@ def test_rl014_flags_lambda_worker():
     assert rules_fired(findings) == {"RL014"}
 
 
+def test_rl014_flags_lambda_passed_to_map_draws():
+    # The submission sites come from the real repro.parallel marker.
+    with open(os.path.join(SRC_ROOT, "repro", "parallel", "__init__.py")) as fh:
+        marker = source(
+            fh.read(),
+            path="src/repro/parallel/__init__.py",
+            module="repro.parallel",
+        )
+    user = source(
+        """
+        from repro.parallel import ParallelMap
+
+        def run(keys, ctx):
+            return ParallelMap(workers=2).map_draws(lambda t, c: t, keys, ctx)
+        """
+    )
+    findings = lint_sources(Project([marker, user]), select=["RL014"])
+    assert rules_fired(findings) == {"RL014"}
+    assert "lambda" in findings[0].message
+
+
 def test_rl014_flags_nested_def_worker():
     mod = source(
         """

@@ -72,7 +72,12 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "4")
     assert resolve_workers() == 4
     monkeypatch.setenv(WORKERS_ENV, "auto")
-    assert resolve_workers() == (os.cpu_count() or 1)
+    # `auto` counts the cores in the affinity mask, not the machine's.
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0}, raising=False
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert resolve_workers() == 1
 
 
 def test_resolve_workers_garbage_env_falls_back(monkeypatch):

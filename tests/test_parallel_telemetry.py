@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core import evaluate_defect_accuracy
+from repro.core import evaluate_defect_accuracy, layer_sensitivity, simulate_fleet
 from repro.datasets import DataLoader, make_synthetic_pair
 from repro.models import MLP
 from repro.telemetry import MemorySink, MetricsRegistry
@@ -135,3 +135,44 @@ def test_disabled_telemetry_ships_nothing(model, loader):
     )
     assert evaluation.num_runs == 4
     assert not telemetry.current().enabled
+
+
+# -- shared-rng fallback: one event per entry point --------------------------
+
+
+def _defect_eval(model, loader, **kwargs):
+    evaluation = evaluate_defect_accuracy(model, loader, 0.05, num_runs=4, **kwargs)
+    return evaluation.run_accuracies, evaluation.seed
+
+
+def _fleet(model, loader, **kwargs):
+    report = simulate_fleet(model, loader, 0.05, num_devices=4, **kwargs)
+    return report.accuracies, report.seed
+
+
+def _sensitivity(model, loader, **kwargs):
+    rows = layer_sensitivity(model, loader, 0.1, num_runs=2, **kwargs)
+    # A sensitivity sweep records no base seed.
+    return [(r.name, r.mean_accuracy, r.std_accuracy) for r in rows], None
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [_defect_eval, _fleet, _sensitivity],
+    ids=["defect_eval", "fleet", "sensitivity"],
+)
+def test_shared_rng_requests_fall_back_to_serial(entry_point, model, loader):
+    # The shared-stream protocol is order-dependent, so a worker request
+    # runs serial, gives the serial numbers and says so exactly once.
+    serial = entry_point(model, loader, rng=np.random.default_rng(77), workers=0)
+    sink = MemorySink()
+    with telemetry.session(sink=sink):
+        pooled = entry_point(
+            model, loader, rng=np.random.default_rng(77), workers=2
+        )
+    assert pooled == serial
+    assert pooled[1] is None
+    fallbacks = [e for e in sink.events if e["kind"] == "parallel_fallback"]
+    assert len(fallbacks) == 1
+    assert fallbacks[0]["workers"] == 2
+    assert "parallel_map_start" not in {e["kind"] for e in sink.events}

@@ -148,6 +148,25 @@ def test_cli_trace_exports(two_runs, capsys):
     assert telemetry.validate_trace(json.load(open(path))) == []
 
 
+def test_cli_trace_reads_the_event_log_once(two_runs, monkeypatch, capsys):
+    from repro.telemetry import events as events_module
+    from repro.telemetry import trace as trace_module
+
+    _, old, _ = two_runs
+    reads = []
+    original = events_module.read_events_with_errors
+
+    def counting_reader(path):
+        reads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(events_module, "read_events_with_errors", counting_reader)
+    monkeypatch.setattr(trace_module, "read_events_with_errors", counting_reader)
+    assert cli_main(["trace", old]) == 0
+    assert capsys.readouterr().out.strip() == os.path.join(old, "trace.json")
+    assert reads == [os.path.join(old, "events.jsonl")]
+
+
 def test_cli_missing_directory_exits_2(tmp_path, capsys):
     assert cli_main(["ls", str(tmp_path / "nope")]) == 2
     assert cli_main(["show", str(tmp_path / "nope")]) == 2
