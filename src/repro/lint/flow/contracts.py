@@ -1,88 +1,44 @@
-"""Event-schema contracts: ``emit()`` producers vs telemetry consumers.
+"""Event-schema contracts: the event registry vs telemetry consumers.
 
-**Extraction** — every ``*.emit("kind", field=..., **splat)`` call with a
-constant kind is a producer site.  Keyword names are collected directly;
-``**splat`` arguments are resolved through local dataflow (dict literals,
-``d[k] = v`` with constant keys, ``d.update(...)``) and one level of
-function-return resolution (``**crossbar_footprint(model)`` follows the
-callee — local or imported — and reads its returned dict shape).  A splat
-that cannot be resolved marks the kind *open* (``extra=True``): its field
-set is a lower bound and per-field consumer checks are skipped.  Calls
-whose kind is not a string constant (the worker re-emit path, forwarding
-shims like ``Run.emit``) are producers of *unknown* kinds and are
-deliberately skipped — they forward other sites' events.
+**Registry** — ``repro/telemetry/schema.py`` declares every event kind
+and its payload fields (``EVENT_SCHEMAS``) plus the bookkeeping fields
+valid on every kind (``BOOKKEEPING_FIELDS``).  :func:`parse_registry_literal`
+reads both literals from the module's AST, so the linter never imports
+the code under analysis.  A project without the registry module (a
+partial-path run, most fixtures) has no contract and is not checked.
 
 **Checking** — a *consumer variable* is any name whose scope reads
 ``x["kind"]``/``x.get("kind")``.  Constant kind comparisons against such
 expressions (``==``, ``!=``, ``in`` over literal or module-constant
-sets, kind-keyed dict lookups) are validated against the extracted
-registry (RL011); constant field subscripts/gets/membership tests on the
+sets, kind-keyed dict lookups) are validated against the registry
+(RL011); constant field subscripts/gets/membership tests on the
 variable are validated against the kind set the surrounding control flow
 narrows to (RL012).  Narrowing understands ``if kind == "k":`` bodies,
 ``if kind != "k": continue/return`` guards, ``kind in CONSTANT_SET``,
 and ``and``-conjunctions; unresolvable guards fall back to the union of
-all known fields, so the pass under-reports rather than guesses.
+all declared fields, so the pass under-reports rather than guesses.
 
-RL011 also diffs the committed ``repro/telemetry/schema.py`` registry
-against the freshly-extracted one, so drift between the code and the
-generated module fails lint until ``python -m repro.lint schema`` is
-re-run.
+The producer side is checked at run time instead: an enabled
+``TelemetryRun`` validates every event it records against the same
+registry.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..sources import Project, SourceFile
-from .callgraph import CallGraph, get_callgraph
 
 __all__ = [
-    "BOOKKEEPING_FIELDS",
-    "EventSchema",
     "check_consumers",
-    "check_registry_module",
-    "extract_event_schemas",
-    "iter_emit_calls",
     "parse_registry_literal",
-    "render_schema_entries",
-    "splice_schema_module",
     "SCHEMA_MODULE_SUFFIX",
 ]
 
-#: Fields stamped by the event log / worker merge, valid on every kind.
-BOOKKEEPING_FIELDS = (
-    "kind",
-    "run_id",
-    "seq",
-    "ts",
-    "worker_pid",
-    "worker_seq",
-    "worker_ts",
-)
-
-#: Project-relative path suffix of the committed runtime registry.
+#: Project-relative path suffix of the event registry module.
 SCHEMA_MODULE_SUFFIX = "telemetry/schema.py"
-
-
-@dataclass
-class EventSchema:
-    """Statically-extracted schema of one event kind."""
-
-    kind: str
-    fields: Set[str] = field(default_factory=set)
-    extra: bool = False
-    producers: List[Tuple[str, int]] = field(default_factory=list)
-
-    def merge(self, fields: Set[str], extra: bool, site: Tuple[str, int]):
-        self.fields |= fields
-        self.extra = self.extra or extra
-        self.producers.append(site)
-
-
-# ---------------------------------------------------------------------------
-# extraction
 
 
 def _const_str(node: ast.AST) -> Optional[str]:
@@ -91,239 +47,35 @@ def _const_str(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _enclosing_function_map(tree: ast.AST) -> Dict[int, ast.AST]:
-    """Map ``id(node)`` of every node to its innermost enclosing def."""
-    owner: Dict[int, ast.AST] = {}
-
-    def visit(node: ast.AST, current: Optional[ast.AST]) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            current = node
-        for child in ast.iter_child_nodes(node):
-            if current is not None:
-                owner[id(child)] = current
-            visit(child, current)
-
-    visit(tree, None)
-    return owner
-
-
-def _dict_literal_keys(node: ast.Dict) -> Tuple[Set[str], bool]:
-    keys: Set[str] = set()
-    extra = False
-    for key in node.keys:
-        if key is None:  # ``{**other}``
-            extra = True
-            continue
-        text = _const_str(key)
-        if text is None:
-            extra = True
-        else:
-            keys.add(text)
-    return keys, extra
-
-
-def _function_return_keys(
-    graph: CallGraph, key: str, _depth: int = 0
-) -> Tuple[Set[str], bool]:
-    """Dict keys a project function's return value is known to carry."""
-    info = graph.functions.get(key)
-    if info is None or _depth > 2:
-        return set(), True
-    fields: Set[str] = set()
-    extra = False
-    returns = [
-        node
-        for node in ast.walk(info.node)
-        if isinstance(node, ast.Return) and node.value is not None
-    ]
-    if not returns:
-        return set(), True
-    for ret in returns:
-        value = ret.value
-        if isinstance(value, ast.Dict):
-            keys, open_ = _dict_literal_keys(value)
-            fields |= keys
-            extra = extra or open_
-        elif isinstance(value, ast.Name):
-            keys, open_ = _trace_local_dict(
-                graph, info.source.module, info.node, value.id, ret
-            )
-            fields |= keys
-            extra = extra or open_
-        else:
-            extra = True
-    return fields, extra
-
-
-def _resolve_call_keys(
-    graph: CallGraph, module: str, call: ast.Call
-) -> Tuple[Set[str], bool]:
-    """Keys of the dict returned by ``call``, when statically traceable."""
-    table = graph.modules.get(module)
-    if table is None:
-        return set(), True
-    func = call.func
-    target: Optional[str] = None
-    if isinstance(func, ast.Name):
-        name = func.id
-        if name in table.functions:
-            target = table.functions[name]
-        elif name in table.imports:
-            target = graph.resolve_qualified(table.imports[name])
-    if target is None:
-        return set(), True
-    return _function_return_keys(graph, target)
-
-
-def _trace_local_dict(
-    graph: CallGraph,
-    module: str,
-    scope: ast.AST,
-    name: str,
-    before: ast.AST,
-    _depth: int = 0,
-) -> Tuple[Set[str], bool]:
-    """Fields a local dict variable carries at the splat site.
-
-    Scans the enclosing function for statements *before* the use site
-    that shape ``name``: literal assignment, constant-key subscript
-    stores, and ``name.update(...)`` calls.  Any shaping we cannot read
-    (augmented merges, conditional rebinding to calls, ...) marks the
-    schema open rather than wrong.
-    """
-    fields: Set[str] = set()
-    extra = False
-    seeded = False
-    limit = before.lineno
-    for node in ast.walk(scope):
-        lineno = getattr(node, "lineno", None)
-        if lineno is None or lineno > limit:
-            continue
-        if isinstance(node, ast.Assign):
-            targets = [
-                t for t in node.targets if isinstance(t, ast.Name)
-            ]
-            if not any(t.id == name for t in targets):
-                # ``d[k] = v`` subscript store
-                for t in node.targets:
-                    if (
-                        isinstance(t, ast.Subscript)
-                        and isinstance(t.value, ast.Name)
-                        and t.value.id == name
-                    ):
-                        key = _const_str(t.slice)
-                        if key is None:
-                            extra = True
-                        else:
-                            fields.add(key)
-                continue
-            seeded = True
-            value = node.value
-            if isinstance(value, ast.Dict):
-                keys, open_ = _dict_literal_keys(value)
-                fields |= keys
-                extra = extra or open_
-            elif isinstance(value, ast.Call):
-                if _depth > 2:
-                    extra = True
-                else:
-                    keys, open_ = _resolve_call_keys(graph, module, value)
-                    fields |= keys
-                    extra = extra or open_
-            elif isinstance(value, ast.Name) and _depth <= 2:
-                keys, open_ = _trace_local_dict(
-                    graph, module, scope, value.id, node, _depth + 1
-                )
-                fields |= keys
-                extra = extra or open_
-            else:
-                extra = True
-        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-            call = node.value
-            func = call.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "update"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == name
-            ):
-                for kw in call.keywords:
-                    if kw.arg is None:
-                        extra = True
-                    else:
-                        fields.add(kw.arg)
-                for arg in call.args:
-                    if isinstance(arg, ast.Dict):
-                        keys, open_ = _dict_literal_keys(arg)
-                        fields |= keys
-                        extra = extra or open_
-                    else:
-                        extra = True
-    if not seeded:
-        extra = True
-    return fields, extra
-
-
-def iter_emit_calls(
+def parse_registry_literal(
     source: SourceFile,
-) -> Iterator[Tuple[ast.Call, Optional[str]]]:
-    """Yield every ``*.emit(...)`` call with its constant kind (or None)."""
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "emit"):
-            continue
-        if not node.args:
-            continue
-        yield node, _const_str(node.args[0])
-
-
-def extract_event_schemas(project: Project) -> Dict[str, EventSchema]:
-    """Extract the producer-side schema registry for a whole project."""
-    graph = get_callgraph(project)
-    schemas: Dict[str, EventSchema] = {}
-    for source in project.sources:
-        owners = None
-        for call, kind in iter_emit_calls(source):
-            if kind is None:
-                continue  # dynamic forward (worker re-emit, Run.emit shim)
-            fields: Set[str] = set()
-            extra = False
-            for kw in call.keywords:
-                if kw.arg is not None:
-                    fields.add(kw.arg)
-                    continue
-                value = kw.value
-                if isinstance(value, ast.Dict):
-                    keys, open_ = _dict_literal_keys(value)
-                    fields |= keys
-                    extra = extra or open_
-                elif isinstance(value, ast.Call):
-                    keys, open_ = _resolve_call_keys(
-                        graph, source.module, value
-                    )
-                    fields |= keys
-                    extra = extra or open_
-                elif isinstance(value, ast.Name):
-                    if owners is None:
-                        owners = _enclosing_function_map(source.tree)
-                    scope = owners.get(id(call))
-                    if scope is None:
-                        extra = True
-                    else:
-                        keys, open_ = _trace_local_dict(
-                            graph, source.module, scope, value.id, call
-                        )
-                        fields |= keys
-                        extra = extra or open_
-                else:
-                    extra = True
-            schema = schemas.setdefault(kind, EventSchema(kind=kind))
-            schema.merge(fields, extra, (source.path, call.lineno))
-    for schema in schemas.values():
-        schema.producers.sort()
-    return schemas
+) -> Optional[Tuple[Dict[str, FrozenSet[str]], FrozenSet[str]]]:
+    """``(kind -> fields, bookkeeping fields)`` read from the registry
+    module's ``EVENT_SCHEMAS`` and ``BOOKKEEPING_FIELDS`` literals, or
+    ``None`` when either is missing or not a plain literal."""
+    literals: Dict[str, object] = {}
+    for stmt in source.tree.body:
+        target: Optional[ast.AST] = None
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target = stmt.targets[0]
+        elif isinstance(stmt, ast.AnnAssign):
+            target = stmt.target
+        if isinstance(target, ast.Name) and target.id in (
+            "EVENT_SCHEMAS",
+            "BOOKKEEPING_FIELDS",
+        ):
+            try:
+                literals[target.id] = ast.literal_eval(stmt.value)
+            except (ValueError, SyntaxError):
+                return None
+    schemas = literals.get("EVENT_SCHEMAS")
+    bookkeeping = literals.get("BOOKKEEPING_FIELDS")
+    if not isinstance(schemas, dict) or not isinstance(bookkeeping, tuple):
+        return None
+    return (
+        {kind: frozenset(fields) for kind, fields in schemas.items()},
+        frozenset(bookkeeping),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -630,17 +382,16 @@ class _ConsumerChecker:
         self,
         source: SourceFile,
         scope: _Scope,
-        schemas: Dict[str, EventSchema],
+        schemas: Dict[str, FrozenSet[str]],
+        bookkeeping: FrozenSet[str],
         constants: Dict[str, Set[str]],
     ) -> None:
         self.source = source
         self.scope = scope
         self.schemas = schemas
+        self.bookkeeping = bookkeeping
         self.constants = constants
-        self.all_fields: Set[str] = set(BOOKKEEPING_FIELDS)
-        for schema in schemas.values():
-            self.all_fields |= schema.fields
-        self.any_open = any(s.extra for s in schemas.values())
+        self.all_fields: Set[str] = set().union(*schemas.values())
         self.findings: List[Tuple[str, ast.AST, str]] = []
 
     # -- checks ---------------------------------------------------------
@@ -651,43 +402,38 @@ class _ConsumerChecker:
                 (
                     "RL011",
                     anchor,
-                    f"unknown event kind {kind!r}: no emit() site "
-                    "produces it",
+                    f"unknown event kind {kind!r}: not declared in the "
+                    "event registry",
                 )
             )
 
     def _check_field(
         self, name: str, kinds: Optional[Set[str]], anchor: ast.AST
     ) -> None:
-        if name in BOOKKEEPING_FIELDS:
+        if name in self.bookkeeping:
             return
         if kinds is None:
-            if name not in self.all_fields and not self.any_open:
+            if name not in self.all_fields:
                 self.findings.append(
                     (
                         "RL012",
                         anchor,
-                        f"unknown event field {name!r}: no emit() site "
-                        "produces it under any kind",
+                        f"unknown event field {name!r}: no kind in the "
+                        "event registry declares it",
                     )
                 )
             return
         known = {k for k in kinds if k in self.schemas}
         if not known:
             return  # RL011 already reported the unknown kind
-        if any(self.schemas[k].extra for k in known):
-            return
-        allowed: Set[str] = set()
-        for k in known:
-            allowed |= self.schemas[k].fields
-        if name not in allowed:
+        if not any(name in self.schemas[k] for k in known):
             label = ", ".join(sorted(known))
             self.findings.append(
                 (
                     "RL012",
                     anchor,
-                    f"unknown event field {name!r}: no emit() site for "
-                    f"kind {label} produces it",
+                    f"unknown event field {name!r}: kind {label} does not "
+                    "declare it in the event registry",
                 )
             )
 
@@ -888,11 +634,30 @@ def _iter_scopes(source: SourceFile) -> Iterator[Tuple[ast.AST, List[ast.stmt]]]
 
 
 def check_consumers(
-    project: Project, schemas: Dict[str, EventSchema]
+    project: Project,
 ) -> Iterator[Tuple[str, SourceFile, ast.AST, str]]:
     """Yield ``(rule, source, anchor, message)`` consumer violations."""
-    if not schemas:
-        return  # partial-path run with no producers: nothing to check
+    registry_source = next(
+        (
+            source
+            for source in project.sources
+            if source.path.replace("\\", "/").endswith(SCHEMA_MODULE_SUFFIX)
+        ),
+        None,
+    )
+    if registry_source is None:
+        return  # partial-path run without the registry: nothing to check
+    registry = parse_registry_literal(registry_source)
+    if registry is None:
+        yield (
+            "RL011",
+            registry_source,
+            1,
+            "event registry has no readable EVENT_SCHEMAS and "
+            "BOOKKEEPING_FIELDS literals",
+        )
+        return
+    schemas, bookkeeping = registry
     for source in project.sources:
         constants = _module_string_sets(source)
         for scope_node, stmts in _iter_scopes(source):
@@ -900,134 +665,9 @@ def check_consumers(
             if not (scope.event_vars or scope.kind_dict_vars):
                 continue
             _collect_collections(stmts, scope, constants)
-            checker = _ConsumerChecker(source, scope, schemas, constants)
+            checker = _ConsumerChecker(
+                source, scope, schemas, bookkeeping, constants
+            )
             checker.check_statements(stmts, None)
             for rule, anchor, message in checker.findings:
                 yield rule, source, anchor, message
-
-
-# ---------------------------------------------------------------------------
-# committed-registry staleness
-
-
-#: Markers bounding the generated region of ``repro/telemetry/schema.py``.
-SCHEMA_BEGIN = "# --- BEGIN GENERATED EVENT SCHEMAS"
-SCHEMA_END = "# --- END GENERATED EVENT SCHEMAS"
-
-
-def render_schema_entries(schemas: Dict[str, EventSchema]) -> str:
-    """The generated ``EVENT_SCHEMAS`` literal, deterministically ordered."""
-    lines = ["EVENT_SCHEMAS: Dict[str, Dict[str, object]] = {"]
-    for kind in sorted(schemas):
-        schema = schemas[kind]
-        lines.append(f"    {kind!r}: {{")
-        field_items = sorted(schema.fields)
-        if field_items:
-            lines.append('        "fields": (')
-            for name in field_items:
-                lines.append(f"            {name!r},")
-            lines.append("        ),")
-        else:
-            lines.append('        "fields": (),')
-        lines.append(f'        "extra": {schema.extra},')
-        lines.append("    },")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def splice_schema_module(text: str, schemas: Dict[str, EventSchema]) -> str:
-    """Replace the generated region of the runtime schema module."""
-    lines = text.splitlines()
-    begin = end = None
-    for index, line in enumerate(lines):
-        if line.strip().startswith(SCHEMA_BEGIN):
-            begin = index
-        elif line.strip().startswith(SCHEMA_END):
-            end = index
-    if begin is None or end is None or end <= begin:
-        raise ValueError(
-            "schema module has no generated-region markers "
-            f"({SCHEMA_BEGIN!r} ... {SCHEMA_END!r})"
-        )
-    out = (
-        lines[: begin + 1]
-        + render_schema_entries(schemas).splitlines()
-        + lines[end:]
-    )
-    return "\n".join(out) + "\n"
-
-
-def parse_registry_literal(
-    source: SourceFile,
-) -> Optional[Dict[str, Dict[str, object]]]:
-    """Read ``EVENT_SCHEMAS`` out of the committed registry module."""
-    for stmt in source.tree.body:
-        target: Optional[ast.AST] = None
-        value_node: Optional[ast.AST] = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value_node = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value_node = stmt.target, stmt.value
-        if (
-            not isinstance(target, ast.Name)
-            or target.id != "EVENT_SCHEMAS"
-            or value_node is None
-        ):
-            continue
-        try:
-            value = ast.literal_eval(value_node)
-        except (ValueError, SyntaxError):
-            return None
-        if isinstance(value, dict):
-            return value
-        return None
-    return None
-
-
-def check_registry_module(
-    project: Project, schemas: Dict[str, EventSchema]
-) -> Iterator[Tuple[str, SourceFile, ast.AST, str]]:
-    """RL011: diff the committed registry against the extracted one."""
-    if not schemas:
-        return
-    registry_source = None
-    for source in project.sources:
-        if source.path.replace("\\", "/").endswith(SCHEMA_MODULE_SUFFIX):
-            registry_source = source
-            break
-    if registry_source is None:
-        return
-    committed = parse_registry_literal(registry_source)
-    if committed is None:
-        yield (
-            "RL011",
-            registry_source,
-            1,
-            "event-schema registry has no readable EVENT_SCHEMAS literal; "
-            "regenerate with `python -m repro.lint schema`",
-        )
-        return
-    problems: List[str] = []
-    for kind in sorted(set(schemas) - set(committed)):
-        problems.append(f"missing kind {kind!r}")
-    for kind in sorted(set(committed) - set(schemas)):
-        problems.append(f"stale kind {kind!r}")
-    for kind in sorted(set(committed) & set(schemas)):
-        entry = committed[kind]
-        want_fields = tuple(sorted(schemas[kind].fields))
-        have_fields = tuple(entry.get("fields", ()))
-        if have_fields != want_fields or bool(entry.get("extra")) != bool(
-            schemas[kind].extra
-        ):
-            problems.append(f"drifted entry for kind {kind!r}")
-    if problems:
-        detail = "; ".join(problems[:4])
-        if len(problems) > 4:
-            detail += f"; +{len(problems) - 4} more"
-        yield (
-            "RL011",
-            registry_source,
-            1,
-            f"event-schema registry is stale ({detail}); regenerate with "
-            "`python -m repro.lint schema`",
-        )

@@ -26,12 +26,11 @@ indexes a directory of runs into ``index.json`` for the
 ``python -m repro.telemetry ls|show|diff|trace`` CLI.
 
 Schema and metric names are documented in ``docs/OBSERVABILITY.md``;
-the canonical event-kind registry lives in
-:mod:`~repro.telemetry.schema` (generated from the ``emit()`` sites by
-``python -m repro.lint schema`` and enforced by lint rules RL011/RL012),
-and a recorded run is checked against it with ``python -m
-repro.telemetry validate``.  A finished run is inspected with ``python
--m repro.experiments summary``.
+the event registry lives in :mod:`~repro.telemetry.schema` (checked at
+emit time by every enabled run and, on the consumer side, by lint rules
+RL011/RL012), and a recorded run is checked against it offline with
+``python -m repro.telemetry validate``.  A finished run is inspected
+with ``python -m repro.experiments summary``.
 """
 
 from .events import (

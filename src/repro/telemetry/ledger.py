@@ -326,10 +326,13 @@ def render_diff(diff: dict) -> str:
             f"+{diff.get('threshold', DEFAULT_REGRESSION_THRESHOLD):.0%}:"
         )
         for entry in regressions:
+            # A diff entry's "kind" is its metric kind: RL012 mistakes the
+            # entry for an event and its fields for undeclared event fields.
+            old, new = entry["old"], entry["new"]  # repro-lint: disable=RL012
+            rel = entry["relative"]  # repro-lint: disable=RL012
             lines.append(
                 f"  [{entry['kind']}] {entry['name']}: "
-                f"{entry['old']:.6g} -> {entry['new']:.6g} "
-                f"({entry['relative']:+.1%})"
+                f"{old:.6g} -> {new:.6g} ({rel:+.1%})"
             )
     else:
         lines.append("No timing regressions beyond threshold.")

@@ -34,6 +34,7 @@ from typing import Optional
 
 from .events import EventLog, EventSink, JsonlSink, NullSink, new_run_id
 from .metrics import MetricsRegistry
+from .schema import validate_event
 from .timing import SpanTracker
 
 __all__ = [
@@ -99,7 +100,7 @@ class TelemetryRun:
         self.enabled = not isinstance(sink, NullSink)
         self.events = EventLog(sink, run_id=self.run_id)
         self.metrics = MetricsRegistry(enabled=self.enabled)
-        self.spans = SpanTracker(self.events, self.metrics)
+        self.spans = SpanTracker(self, self.metrics)
         self._closed = False
         self._started_at: Optional[float] = None
         self._resources = bool(resources)
@@ -109,9 +110,16 @@ class TelemetryRun:
         self._once_keys: set = set()
 
     def emit(self, kind: str, **fields) -> Optional[dict]:
-        """Record one event (no-op on a disabled run)."""
+        """Record one event (no-op on a disabled run).
+
+        Raises ``ValueError`` when ``kind`` or a payload field is not
+        declared in the event registry (:mod:`repro.telemetry.schema`).
+        """
         if not self.enabled:
             return None
+        problems = validate_event(dict(fields, kind=kind))
+        if problems:
+            raise ValueError("; ".join(problems))
         return self.events.emit(kind, **fields)
 
     def span(self, name: str):

@@ -1,20 +1,18 @@
-"""Canonical event-kind registry: the producer/consumer contract.
+"""The event registry: every event kind and the payload fields it carries.
 
-The ``EVENT_SCHEMAS`` table below is **generated** — it is the static
-extraction of every ``emit(kind, **fields)`` site in ``src/repro``,
-written by::
+``EVENT_SCHEMAS`` is the one place the contract between the code that
+emits events and the code that reads them back is written.  Adding an
+event means adding one line here.  Two checks read it:
 
-    PYTHONPATH=src python -m repro.lint schema
+* at run time, an enabled :class:`~repro.telemetry.TelemetryRun` passes
+  every event it records through :func:`validate_event` and raises
+  ``ValueError`` on an undeclared kind or field, so a test that runs the
+  producer fails on drift (a disabled run checks nothing);
+* at lint time, rules RL011/RL012 read this module's literals (without
+  importing it) and check every consumer's kind and field accesses.
 
-and kept honest by lint rule RL011, which diffs this module against a
-fresh extraction on every ``python -m repro.lint run``.  Do not edit the
-generated region by hand; change the producers and regenerate.
-
-Each entry maps an event kind to the union of payload field names its
-producers emit.  ``extra: True`` marks *open* kinds — at least one
-producer splats a dict the linter cannot fully resolve (per-layer
-forensics payloads, model-cost dataclasses), so the field tuple is a
-lower bound and unknown fields are not an error at runtime either.
+Missing fields are never an error: many producers emit conditionally
+(fault statistics, realized rates, forensics targets).
 
 This module is import-cheap (stdlib only, no numpy) so the lint CLI,
 the telemetry CLI, and worker processes can all use it freely.
@@ -25,20 +23,16 @@ strings instead of raising, so callers choose their own strictness.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "BOOKKEEPING_FIELDS",
     "EVENT_SCHEMAS",
-    "SCHEMA_VERSION",
     "fields_for",
     "known_kinds",
     "validate_event",
     "validate_events",
 ]
-
-#: Version of the registry document shape (bump on structural change).
-SCHEMA_VERSION = 1
 
 #: Fields stamped by ``EventLog.emit`` and the worker-event merge; valid
 #: on every kind and never part of a producer's payload schema.
@@ -52,328 +46,100 @@ BOOKKEEPING_FIELDS = (
     "worker_ts",
 )
 
-# --- BEGIN GENERATED EVENT SCHEMAS (python -m repro.lint schema) ---
-EVENT_SCHEMAS: Dict[str, Dict[str, object]] = {
-    'defect_draw': {
-        "fields": (
-            'accuracy',
-            'draw',
-            'p_sa',
-            'seed',
-        ),
-        "extra": False,
-    },
-    'defect_eval': {
-        "fields": (
-            'crossbar_cells',
-            'mean_accuracy',
-            'num_runs',
-            'p_sa',
-            'seed',
-            'std_accuracy',
-        ),
-        "extra": False,
-    },
-    'deploy': {
-        "fields": (
-            'crossbar_cells',
-            'crossbar_weights',
-            'model',
-            'num_crossbars',
-            'params',
-            'tile_size',
-        ),
-        "extra": False,
-    },
-    'epoch_end': {
-        "fields": (
-            'epoch',
-            'loss',
-            'lr',
-            'p_sa',
-            'seconds',
-            'train_accuracy',
-            'val_accuracy',
-        ),
-        "extra": True,
-    },
-    'fault_inject': {
-        "fields": (
-            'cells_faulted',
-            'cells_total',
-            'crossbar_cells',
-            'crossbar_weights',
-            'p_sa',
-            'p_sa0',
-            'p_sa1',
-            'realized_p_sa',
-            'realized_sa1_share',
-            'sa0',
-            'sa1',
-            'tensors',
-        ),
-        "extra": False,
-    },
-    'fleet_device': {
-        "fields": (
-            'accuracy',
-            'device',
-            'p_sa',
-            'seed',
-        ),
-        "extra": False,
-    },
-    'forensics_draw': {
-        "fields": (
-            'draw',
-            'p_sa',
-            'seed',
-            'target',
-        ),
-        "extra": True,
-    },
-    'forensics_eval': {
-        "fields": (
-            'layers',
-            'p_sa',
-            'seed',
-            'target',
-        ),
-        "extra": True,
-    },
-    'forensics_shuffled_loader': {
-        "fields": (
-            'note',
-        ),
-        "extra": False,
-    },
-    'ft_train_start': {
-        "fields": (
-            'method',
-            'p_sa_target',
-            'preserve_sparsity',
-        ),
-        "extra": False,
-    },
-    'heartbeat': {
-        "fields": (
-            'completed',
-            'elapsed_seconds',
-            'eta_seconds',
-            'label',
-            'percent',
-            'rate_per_second',
-            'total',
-        ),
-        "extra": False,
-    },
-    'log': {
-        "fields": (
-            'level',
-            'logger',
-            'message',
-        ),
-        "extra": False,
-    },
-    'method_report': {
-        "fields": (
-            'acc_pretrain',
-            'acc_retrain',
-            'defect',
-            'metadata',
-            'method',
-        ),
-        "extra": False,
-    },
-    'model_cost': {
-        "fields": (
-            'model',
-        ),
-        "extra": True,
-    },
-    'parallel_chunk': {
-        "fields": (
-            'attempt',
-            'seconds',
-            'tasks',
-            'worker_pid',
-        ),
-        "extra": False,
-    },
-    'parallel_fallback': {
-        "fields": (
-            'reason',
-            'workers',
-        ),
-        "extra": False,
-    },
-    'parallel_map_end': {
-        "fields": (
-            'completed',
-            'failed',
-        ),
-        "extra": False,
-    },
-    'parallel_map_start': {
-        "fields": (
-            'chunk_size',
-            'chunks',
-            'tasks',
-            'workers',
-        ),
-        "extra": False,
-    },
-    'parallel_retry': {
-        "fields": (
-            'attempt',
-            'indices',
-            'reason',
-        ),
-        "extra": False,
-    },
-    'pretrain_done': {
-        "fields": (
-            'accuracy',
-            'num_classes',
-            'scale',
-        ),
-        "extra": False,
-    },
-    'profile_stacks': {
-        "fields": (
-            'interval',
-            'samples',
-            'stacks',
-        ),
-        "extra": False,
-    },
-    'progress_stall': {
-        "fields": (
-            'completed',
-            'idle_seconds',
-            'label',
-            'stall_timeout',
-            'total',
-        ),
-        "extra": False,
-    },
-    'progressive_level': {
-        "fields": (
-            'epochs_per_level',
-            'level',
-            'p_sa',
-        ),
-        "extra": False,
-    },
-    'resource_sample': {
-        "fields": (
-            'cpu_seconds',
-            'max_rss_bytes',
-            'num_fds',
-            'rss_bytes',
-            'tracemalloc_current',
-            'tracemalloc_peak',
-        ),
-        "extra": False,
-    },
-    'run_end': {
-        "fields": (
-            'duration_seconds',
-        ),
-        "extra": False,
-    },
-    'run_start': {
-        "fields": (
-            'config',
-            'pid',
-        ),
-        "extra": False,
-    },
-    'span_begin': {
-        "fields": (
-            'depth',
-            'name',
-            'path',
-        ),
-        "extra": False,
-    },
-    'span_end': {
-        "fields": (
-            'depth',
-            'name',
-            'path',
-            'seconds',
-        ),
-        "extra": False,
-    },
-    'sweep_cell': {
-        "fields": (
-            'acc_defect',
-            'acc_pretrain',
-            'acc_retrain',
-            'arch',
-            'digest',
-            'p_sa',
-            'p_sa_train',
-            'profile',
-            'quant_bits',
-            'seed',
-            'sparsity',
-            'stability_score',
-            'sweep',
-            'variant',
-        ),
-        "extra": False,
-    },
-    'sweep_report': {
-        "fields": (
-            'cells',
-            'entries',
-            'profile',
-            'sweep',
-        ),
-        "extra": False,
-    },
-    'train_end': {
-        "fields": (
-            'epochs',
-            'final_loss',
-            'total_seconds',
-            'trainer',
-        ),
-        "extra": False,
-    },
-    'train_start': {
-        "fields": (
-            'epochs',
-            'p_sa',
-            'trainer',
-        ),
-        "extra": False,
-    },
+#: Event kind -> payload field names its producers may emit, sorted.
+EVENT_SCHEMAS: Dict[str, Tuple[str, ...]] = {
+    "defect_draw": ("accuracy", "draw", "p_sa", "seed"),
+    "defect_eval": (
+        "crossbar_cells", "mean_accuracy", "num_runs", "p_sa", "seed",
+        "std_accuracy",
+    ),
+    "deploy": (
+        "crossbar_cells", "crossbar_weights", "model", "num_crossbars",
+        "params", "tile_size",
+    ),
+    "epoch_end": (
+        "epoch", "grad_norm_post_clip", "grad_norm_pre_clip", "loss", "lr",
+        "p_sa", "seconds", "train_accuracy", "update_ratio", "val_accuracy",
+    ),
+    "fault_inject": (
+        "cells_faulted", "cells_total", "crossbar_cells", "crossbar_weights",
+        "p_sa", "p_sa0", "p_sa1", "realized_p_sa", "realized_sa1_share",
+        "sa0", "sa1", "tensors",
+    ),
+    "fleet_device": ("accuracy", "device", "p_sa", "seed"),
+    "forensics_draw": (
+        "accuracy", "draw", "layers", "num_flipped", "num_samples", "p_sa",
+        "seed", "target", "undiverged_flips",
+    ),
+    "forensics_eval": (
+        "layers", "num_draws", "num_flipped", "num_samples", "p_sa", "seed",
+        "target", "undiverged_flips",
+    ),
+    "forensics_shuffled_loader": ("note",),
+    "ft_train_start": ("method", "p_sa_target", "preserve_sparsity"),
+    "heartbeat": (
+        "completed", "elapsed_seconds", "eta_seconds", "label", "percent",
+        "rate_per_second", "total",
+    ),
+    "log": ("level", "logger", "message"),
+    "method_report": (
+        "acc_pretrain", "acc_retrain", "defect", "metadata", "method",
+    ),
+    "model_cost": (
+        "activation_bytes", "activation_elems", "crossbar_cells", "flops",
+        "input_shape", "layers", "macs", "model", "params",
+    ),
+    "parallel_chunk": ("attempt", "seconds", "tasks", "worker_pid"),
+    "parallel_fallback": ("reason", "workers"),
+    "parallel_map_end": ("completed", "failed"),
+    "parallel_map_start": ("chunk_size", "chunks", "tasks", "workers"),
+    "parallel_retry": ("attempt", "indices", "reason"),
+    "pretrain_done": ("accuracy", "num_classes", "scale"),
+    "profile_stacks": ("interval", "samples", "stacks"),
+    "progress_stall": (
+        "completed", "idle_seconds", "label", "stall_timeout", "total",
+    ),
+    "progressive_level": ("epochs_per_level", "level", "p_sa"),
+    "resource_sample": (
+        "cpu_seconds", "max_rss_bytes", "num_fds", "rss_bytes",
+        "tracemalloc_current", "tracemalloc_peak",
+    ),
+    "run_end": ("duration_seconds",),
+    "run_start": ("config", "pid"),
+    "span_begin": ("depth", "name", "path"),
+    "span_end": ("depth", "name", "path", "seconds"),
+    "sweep_cell": (
+        "acc_defect", "acc_pretrain", "acc_retrain", "arch", "digest",
+        "p_sa", "p_sa_train", "profile", "quant_bits", "seed", "sparsity",
+        "stability_score", "sweep", "variant",
+    ),
+    "sweep_report": ("cells", "entries", "profile", "sweep"),
+    "train_end": ("epochs", "final_loss", "total_seconds", "trainer"),
+    "train_start": ("epochs", "p_sa", "trainer"),
 }
-# --- END GENERATED EVENT SCHEMAS ---
+
+#: Every field a recorded event of each kind may carry, bookkeeping included.
+_ALLOWED: Dict[str, FrozenSet[str]] = {
+    kind: frozenset(fields + BOOKKEEPING_FIELDS)
+    for kind, fields in EVENT_SCHEMAS.items()
+}
 
 
 def known_kinds() -> Tuple[str, ...]:
-    """Every event kind some producer emits, sorted."""
+    """Every declared event kind, sorted."""
     return tuple(sorted(EVENT_SCHEMAS))
 
 
 def fields_for(kind: str) -> Optional[Tuple[str, ...]]:
     """Payload fields of ``kind`` (without bookkeeping), or ``None``."""
-    entry = EVENT_SCHEMAS.get(kind)
-    if entry is None:
-        return None
-    return tuple(entry["fields"])  # type: ignore[arg-type]
+    return EVENT_SCHEMAS.get(kind)
 
 
 def validate_event(event: Mapping, index: Optional[int] = None) -> List[str]:
-    """Problems with one recorded event against the registry.
+    """Problems with one event against the registry.
 
-    Flags missing/unknown kinds and — for *closed* kinds only — payload
-    fields no producer emits.  Missing fields are never flagged: many
-    producers emit conditionally (fault statistics, realized rates).
+    Flags a missing or undeclared kind and every payload field the kind
+    does not declare.  Missing fields are never flagged.
     """
     where = f"event {index}" if index is not None else "event"
     if not isinstance(event, Mapping):
@@ -381,18 +147,13 @@ def validate_event(event: Mapping, index: Optional[int] = None) -> List[str]:
     kind = event.get("kind")
     if not isinstance(kind, str) or not kind:
         return [f"{where}: missing or non-string 'kind'"]
-    entry = EVENT_SCHEMAS.get(kind)
-    if entry is None:
+    allowed = _ALLOWED.get(kind)
+    if allowed is None:
         return [f"{where}: unknown kind {kind!r}"]
-    if entry.get("extra"):
-        return []
-    allowed = set(entry["fields"]) | set(BOOKKEEPING_FIELDS)
-    problems = []
-    for name in sorted(set(event) - allowed):
-        problems.append(
-            f"{where} ({kind}): field {name!r} is not in the schema"
-        )
-    return problems
+    return [
+        f"{where} ({kind}): field {name!r} is not in the schema"
+        for name in sorted(set(event) - allowed)
+    ]
 
 
 def validate_events(events: Iterable[Mapping]) -> List[str]:

@@ -73,7 +73,12 @@ class Stopwatch:
 
 
 class SpanTracker:
-    """Nestable named timing scopes tied to an event log and registry."""
+    """Nestable named timing scopes tied to an event log and registry.
+
+    ``events`` is anything with ``emit(kind, **fields)``: an
+    :class:`EventLog`, or the :class:`~repro.telemetry.TelemetryRun`
+    that owns the tracker, so span events are checked like any other.
+    """
 
     def __init__(
         self,

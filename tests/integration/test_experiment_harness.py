@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.experiments import (
     get_scale,
     run_figure2,
     run_table1,
     run_table2,
 )
+from repro.telemetry.schema import BOOKKEEPING_FIELDS, EVENT_SCHEMAS
 
 CI = get_scale("ci").with_overrides(
     train_rates=(0.05,), defect_runs=3,
@@ -52,13 +54,28 @@ def test_table1_invalid_dataset():
 
 def test_table2_rows_and_scores():
     scale = CI.with_overrides(train_rates=(0.05,))
-    result = run_table2(scale, sparsity=0.5, train_rates=(0.05,))
+    sink = telemetry.MemorySink()
+    with telemetry.session(sink=sink):
+        result = run_table2(scale, sparsity=0.5, train_rates=(0.05,))
     # 2 backbones x (1 baseline + 2 methods).
     assert len(result.rows) == 6
     for row in result.rows:
         assert row["ss_1"] > 0
         assert row["ss_2"] > 0
     assert "SS(0.01)" in result.text
+    reports = [e for e in sink.events if e["kind"] == "method_report"]
+    assert [e["method"] for e in reports] == [
+        row["method"] for row in result.rows
+    ]
+    for event, row in zip(reports, result.rows):
+        assert set(event) - set(BOOKKEEPING_FIELDS) == set(
+            EVENT_SCHEMAS["method_report"]
+        )
+        assert event["acc_retrain"] == row["acc_retrain"]
+        assert set(event["defect"]) == {
+            str(row["rate_1"]), str(row["rate_2"])
+        }
+        assert event["metadata"]["table"] == "table2"
 
 
 def test_figure2_curves():

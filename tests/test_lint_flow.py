@@ -2,8 +2,8 @@
 
 Fixture projects are in-memory multi-file snippets run through the real
 engine, plus acceptance checks against the actual ``src/repro`` tree:
-the committed registry must cover every ``emit()`` site, and the tree
-must be clean under all five flow rules.
+the registry must declare exactly the kinds the ``emit()`` sites use,
+and the tree must be clean under all five flow rules.
 """
 
 import ast
@@ -12,8 +12,6 @@ import textwrap
 
 import repro.lint.rules  # noqa: F401  (registers the built-in rules)
 from repro.lint import lint_paths, lint_sources
-from repro.lint.engine import load_project
-from repro.lint.flow.contracts import extract_event_schemas
 from repro.lint.flow.purity import submission_sites
 from repro.lint.sources import Project, SourceFile
 
@@ -22,10 +20,10 @@ SRC_ROOT = os.path.join(REPO_ROOT, "src")
 
 FLOW_RULES = ["RL011", "RL012", "RL013", "RL014", "RL015"]
 
-#: A producer module shared by the contract fixtures: one closed kind.
-PRODUCER = """
-def produce(log):
-    log.emit("epoch_done", epoch=1, accuracy=0.5)
+#: A registry module shared by the contract fixtures: one kind.
+REGISTRY = """
+BOOKKEEPING_FIELDS = ("kind", "run_id", "seq", "ts")
+EVENT_SCHEMAS = {"epoch_done": ("accuracy", "epoch")}
 """
 
 
@@ -43,11 +41,18 @@ def rules_fired(findings):
     return {f.rule for f in findings}
 
 
+def registry():
+    return source(
+        REGISTRY,
+        path="pkg/telemetry/schema.py",
+        module="pkg.telemetry.schema",
+    )
+
+
 # -- RL011 unknown-event-kind ----------------------------------------------
 
 
 def test_rl011_flags_unknown_kind():
-    producer = source(PRODUCER, path="pkg/prod.py", module="pkg.prod")
     consumer = source(
         """
         def consume(events):
@@ -58,14 +63,13 @@ def test_rl011_flags_unknown_kind():
         path="pkg/cons.py",
         module="pkg.cons",
     )
-    findings = lint_project(producer, consumer, select=["RL011"])
+    findings = lint_project(registry(), consumer, select=["RL011"])
     assert rules_fired(findings) == {"RL011"}
     assert "train_done" in findings[0].message
     assert findings[0].path == "pkg/cons.py"
 
 
 def test_rl011_accepts_known_kind():
-    producer = source(PRODUCER, path="pkg/prod.py", module="pkg.prod")
     consumer = source(
         """
         def consume(events):
@@ -74,12 +78,12 @@ def test_rl011_accepts_known_kind():
         path="pkg/cons.py",
         module="pkg.cons",
     )
-    assert not lint_project(producer, consumer, select=["RL011"])
+    assert not lint_project(registry(), consumer, select=["RL011"])
 
 
 def test_rl011_silent_without_any_emit_site():
-    # A fixture project with no producer at all must not flag every
-    # consumer: no extraction means no contract to check.
+    # A fixture project without the registry module must not flag every
+    # consumer: no registry means no contract to check.
     consumer = source(
         """
         def consume(events):
@@ -89,30 +93,10 @@ def test_rl011_silent_without_any_emit_site():
     assert not lint_project(consumer, select=["RL011"])
 
 
-def test_rl011_flags_stale_committed_registry():
-    producer = source(PRODUCER, path="pkg/prod.py", module="pkg.prod")
-    registry = source(
-        """
-        # --- BEGIN GENERATED EVENT SCHEMAS (python -m repro.lint schema) ---
-        EVENT_SCHEMAS = {
-            "other_kind": {"fields": (), "extra": False},
-        }
-        # --- END GENERATED EVENT SCHEMAS ---
-        """,
-        path="pkg/telemetry/schema.py",
-        module="pkg.telemetry.schema",
-    )
-    findings = lint_project(producer, registry, select=["RL011"])
-    assert findings, "stale registry must be reported"
-    assert all(f.path == "pkg/telemetry/schema.py" for f in findings)
-    assert any("repro.lint schema" in f.message for f in findings)
-
-
 # -- RL012 unknown-event-field ---------------------------------------------
 
 
 def test_rl012_flags_misspelled_field_under_narrowing():
-    producer = source(PRODUCER, path="pkg/prod.py", module="pkg.prod")
     consumer = source(
         """
         def consume(events):
@@ -123,13 +107,12 @@ def test_rl012_flags_misspelled_field_under_narrowing():
         path="pkg/cons.py",
         module="pkg.cons",
     )
-    findings = lint_project(producer, consumer, select=["RL012"])
+    findings = lint_project(registry(), consumer, select=["RL012"])
     assert rules_fired(findings) == {"RL012"}
     assert "acuracy" in findings[0].message
 
 
 def test_rl012_accepts_schema_and_bookkeeping_fields():
-    producer = source(PRODUCER, path="pkg/prod.py", module="pkg.prod")
     consumer = source(
         """
         def consume(events):
@@ -140,36 +123,12 @@ def test_rl012_accepts_schema_and_bookkeeping_fields():
         path="pkg/cons.py",
         module="pkg.cons",
     )
-    assert not lint_project(producer, consumer, select=["RL012"])
-
-
-def test_rl012_open_kind_skips_field_checks():
-    producer = source(
-        """
-        def produce(log, extras):
-            log.emit("epoch_done", epoch=1, **extras)
-        """,
-        path="pkg/prod.py",
-        module="pkg.prod",
-    )
-    consumer = source(
-        """
-        def consume(events):
-            for event in events:
-                if event["kind"] == "epoch_done":
-                    yield event["whatever"]
-        """,
-        path="pkg/cons.py",
-        module="pkg.cons",
-    )
-    # The unresolvable **extras makes the kind open: never guess.
-    assert not lint_project(producer, consumer, select=["RL012"])
+    assert not lint_project(registry(), consumer, select=["RL012"])
 
 
 def test_rl012_follows_events_through_collections():
     # The summarize_run pattern: events filed into a dict of lists
     # under kind narrowing, then read back in a later loop.
-    producer = source(PRODUCER, path="pkg/prod.py", module="pkg.prod")
     consumer = source(
         """
         def summarize(events):
@@ -186,14 +145,13 @@ def test_rl012_follows_events_through_collections():
         path="pkg/cons.py",
         module="pkg.cons",
     )
-    findings = lint_project(producer, consumer, select=["RL012"])
+    findings = lint_project(registry(), consumer, select=["RL012"])
     assert rules_fired(findings) == {"RL012"}
     assert "acuracy" in findings[0].message
     assert "epoch_done" in findings[0].message
 
 
 def test_rl012_collection_tracking_accepts_valid_fields():
-    producer = source(PRODUCER, path="pkg/prod.py", module="pkg.prod")
     consumer = source(
         """
         def summarize(events):
@@ -207,11 +165,10 @@ def test_rl012_collection_tracking_accepts_valid_fields():
         path="pkg/cons.py",
         module="pkg.cons",
     )
-    assert not lint_project(producer, consumer, select=["RL012"])
+    assert not lint_project(registry(), consumer, select=["RL012"])
 
 
 def test_rl012_unnarrowed_collection_store_makes_no_claim():
-    producer = source(PRODUCER, path="pkg/prod.py", module="pkg.prod")
     consumer = source(
         """
         def summarize(events, extras):
@@ -224,14 +181,13 @@ def test_rl012_unnarrowed_collection_store_makes_no_claim():
         path="pkg/cons.py",
         module="pkg.cons",
     )
-    # One closed kind and no open kinds: the all-kinds fallback still
-    # applies, so 'anything' is flagged — but against no specific kind.
-    findings = lint_project(producer, consumer, select=["RL012"])
+    # The all-kinds fallback still applies, so 'anything' is flagged —
+    # but against no specific kind.
+    findings = lint_project(registry(), consumer, select=["RL012"])
     assert all("epoch_done" not in f.message for f in findings)
 
 
 def test_rl012_unnarrowed_access_checked_against_all_kinds():
-    producer = source(PRODUCER, path="pkg/prod.py", module="pkg.prod")
     consumer = source(
         """
         def consume(events):
@@ -240,7 +196,7 @@ def test_rl012_unnarrowed_access_checked_against_all_kinds():
         path="pkg/cons.py",
         module="pkg.cons",
     )
-    findings = lint_project(producer, consumer, select=["RL012"])
+    findings = lint_project(registry(), consumer, select=["RL012"])
     assert rules_fired(findings) == {"RL012"}
 
 
@@ -516,22 +472,9 @@ def test_registry_covers_every_emit_site():
     swept = _sweep_emit_kinds()
     assert swept, "the tree must contain emit() sites"
     assert swept == set(EVENT_SCHEMAS), (
-        "committed registry drifted from the emit() sites; regenerate "
-        "with `python -m repro.lint schema`"
+        "the event registry drifted from the emit() sites; declare each "
+        "new kind (and drop each removed one) in src/repro/telemetry/schema.py"
     )
-
-
-def test_extraction_matches_committed_registry():
-    from repro.telemetry.schema import EVENT_SCHEMAS
-
-    project, errors = load_project([SRC_ROOT])
-    assert not errors
-    schemas = extract_event_schemas(project)
-    assert set(schemas) == set(EVENT_SCHEMAS)
-    for kind, schema in schemas.items():
-        entry = EVENT_SCHEMAS[kind]
-        assert tuple(sorted(schema.fields)) == tuple(entry["fields"]), kind
-        assert schema.extra == entry["extra"], kind
 
 
 def test_repo_is_clean_under_flow_rules():

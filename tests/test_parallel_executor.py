@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.models import MLP
 from repro.parallel import (
     Broadcast,
@@ -165,8 +166,15 @@ def test_crashing_task_raises_after_retries():
 
 def test_flaky_tasks_recover_on_retry(tmp_path):
     pmap = ParallelMap(2, retries=2, chunk_size=1)
-    result = pmap.map(_flaky, [1, 2, 3], Broadcast(dir=str(tmp_path)))
+    sink = telemetry.MemorySink()
+    with telemetry.session(sink=sink):
+        result = pmap.map(_flaky, [1, 2, 3], Broadcast(dir=str(tmp_path)))
     assert result == [10, 20, 30]
+    # Every one-task chunk fails once: one parallel_retry event each.
+    retries = [e for e in sink.events if e["kind"] == "parallel_retry"]
+    assert sorted(e["indices"] for e in retries) == [[0], [1], [2]]
+    assert all(e["attempt"] == 1 for e in retries)
+    assert all("first attempt at task" in e["reason"] for e in retries)
 
 
 def test_all_failures_never_return_partial_results():

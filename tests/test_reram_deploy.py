@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import nn, telemetry
 from repro.models import MLP, SimpleCNN
 from repro.reram import ReRAMDeviceModel, crossbar_parameters, deploy_weights
 
@@ -43,10 +43,20 @@ def test_deploy_and_readback_preserves_accuracy_behaviour(rng):
 
 def test_deploy_counts_crossbars(rng):
     model = MLP(8, [4], 2, rng=rng)
-    deployed = deploy_weights(model, device=FINE, tile_size=4)
+    sink = telemetry.MemorySink()
+    with telemetry.session(sink=sink):
+        deployed = deploy_weights(model, device=FINE, tile_size=4)
     # fc1: (8 in x 4 out) -> 2x1 tiles x 2 = 4 xbars;
     # fc2: (4 x 2) -> 1 tile x 2 = 2 xbars.
     assert deployed.num_crossbars == 6
+    (event,) = [e for e in sink.events if e["kind"] == "deploy"]
+    assert event["model"] == "MLP"
+    assert event["tile_size"] == 4
+    assert event["num_crossbars"] == 6
+    # 8*4 + 4*2 crossbar-resident weights; params adds the 4 + 2 biases.
+    assert event["crossbar_weights"] == 40
+    assert event["params"] == 46
+    assert event["crossbar_cells"] == 2 * 40  # one cell pair per weight
 
 
 def test_inject_faults_changes_effective_weights(rng):

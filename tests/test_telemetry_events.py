@@ -140,14 +140,14 @@ def test_disabled_run_writes_no_files(tmp_path):
 def test_session_writes_run_directory(tmp_path):
     with telemetry.session(str(tmp_path), config={"scale": "ci"}) as run:
         assert telemetry.current() is run
-        run.emit("custom", x=1)
+        run.emit("epoch_end", epoch=0)
     assert telemetry.current() is telemetry.NULL_RUN
 
     events = read_events(os.path.join(run.directory, "events.jsonl"))
     kinds = [e["kind"] for e in events]
     assert kinds[0] == "run_start"
     assert kinds[-1] == "run_end"
-    assert "custom" in kinds
+    assert "epoch_end" in kinds
     assert events[0]["config"] == {"scale": "ci"}
     # close() persisted the metrics snapshot and run provenance.
     assert os.path.isfile(os.path.join(run.directory, "metrics.json"))
@@ -166,9 +166,9 @@ def test_nested_start_run_rejected(tmp_path):
 def test_memory_sink_session_collects_events():
     sink = MemorySink()
     with telemetry.session(sink=sink):
-        telemetry.current().emit("ping")
+        telemetry.current().emit("heartbeat", label="t")
     kinds = [e["kind"] for e in sink.events]
-    assert kinds == ["run_start", "ping", "run_end"]
+    assert kinds == ["run_start", "heartbeat", "run_end"]
 
 
 def test_telemetry_log_handler_forwards_records():

@@ -1,14 +1,18 @@
 """Runtime side of the event registry: validate_event(s) and helpers.
 
-The registry itself is generated and its freshness is covered by
-``tests/test_lint_flow.py``; here we pin the runtime validation
-semantics a recorded run is checked against.
+That the registry declares exactly the emitted kinds is covered by
+``tests/test_lint_flow.py``; here we pin the validation semantics that
+every enabled run applies at emit time and that a recorded run is
+checked against offline.
 """
 
 import os
 import subprocess
 import sys
 
+import pytest
+
+from repro import telemetry
 from repro.telemetry.schema import (
     BOOKKEEPING_FIELDS,
     EVENT_SCHEMAS,
@@ -22,16 +26,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def closed_kind():
-    kind = next(
-        k for k in sorted(EVENT_SCHEMAS) if not EVENT_SCHEMAS[k]["extra"]
-    )
-    return kind, EVENT_SCHEMAS[kind]["fields"]
-
-
-def open_kind():
-    return next(
-        k for k in sorted(EVENT_SCHEMAS) if EVENT_SCHEMAS[k]["extra"]
-    )
+    kind = sorted(EVENT_SCHEMAS)[0]
+    return kind, EVENT_SCHEMAS[kind]
 
 
 def test_known_kinds_sorted_and_nonempty():
@@ -76,14 +72,26 @@ def test_validate_event_flags_unknown_field_on_closed_kind():
     ]
 
 
-def test_validate_event_tolerates_open_kind_extras():
-    assert validate_event({"kind": open_kind(), "anything": 1}) == []
-
-
 def test_validate_event_never_requires_fields():
     # Producers emit conditionally; an event with only bookkeeping is fine.
     kind, _ = closed_kind()
     assert validate_event({"kind": kind}) == []
+
+
+def test_session_rejects_undeclared_kind_and_field():
+    kind, fields = closed_kind()
+    with telemetry.session(sink=telemetry.MemorySink()) as run:
+        with pytest.raises(ValueError, match="unknown kind 'no_such_kind'"):
+            run.emit("no_such_kind")
+        with pytest.raises(ValueError, match="'no_such_field'"):
+            run.emit(kind, no_such_field=1)
+        run.emit(kind, **{name: 0 for name in fields})
+    recorded = [e["kind"] for e in run.events.sink.events]
+    assert recorded == ["run_start", kind, "run_end"]
+    # A disabled run checks nothing: both calls are silent no-ops.
+    assert telemetry.current() is telemetry.NULL_RUN
+    assert telemetry.NULL_RUN.emit("no_such_kind") is None
+    assert telemetry.NULL_RUN.emit(kind, no_such_field=1) is None
 
 
 def test_validate_events_orders_and_indexes_problems():
