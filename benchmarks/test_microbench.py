@@ -42,6 +42,10 @@ def test_conv_backward_throughput(benchmark):
     _run_registered(benchmark, "conv2d/backward")
 
 
+def test_batchnorm2d_forward_eval_throughput(benchmark):
+    _run_registered(benchmark, "batchnorm2d/forward_eval")
+
+
 def test_resnet8_forward_throughput(benchmark):
     _run_registered(benchmark, "model/resnet8_forward")
 

@@ -5,7 +5,10 @@ CLI and the pytest-benchmark wrappers both import it).  Cases cover the
 kernels the paper's pipeline spends its time in:
 
 * ``conv2d/forward`` / ``conv2d/backward`` — the numpy convolution every
-  model forward/backward bottoms out in;
+  model forward/backward bottoms out in (``full``: the ResNet-20 stage-1
+  shape, 16→16 channels at 32×32);
+* ``batchnorm2d/forward_eval`` — the eval-mode BatchNorm that follows
+  every conv in a Monte Carlo draw;
 * ``faults/sample_fault_map`` / ``faults/apply`` — the per-step fault
   draw that stochastic fault-tolerant training performs on *every*
   forward pass;
@@ -85,7 +88,7 @@ def _conv_setup(params: dict, rng: np.random.Generator) -> dict:
     "conv2d/forward",
     params={
         "fast": {"batch": 4, "cin": 8, "cout": 16, "size": 10},
-        "full": {"batch": 8, "cin": 16, "cout": 32, "size": 12},
+        "full": {"batch": 16, "cin": 16, "cout": 16, "size": 32},
     },
     setup=_conv_setup,
     description="Conv2d forward pass (3x3, padded)",
@@ -98,13 +101,35 @@ def _conv_forward(state):
     "conv2d/backward",
     params={
         "fast": {"batch": 4, "cin": 8, "cout": 16, "size": 10},
-        "full": {"batch": 8, "cin": 16, "cout": 32, "size": 12},
+        "full": {"batch": 16, "cin": 16, "cout": 16, "size": 32},
     },
     setup=_conv_setup,
     description="Conv2d backward pass (input + weight gradients)",
 )
 def _conv_backward(state):
     return state["layer"].backward(state["grad"])
+
+
+def _bn_eval_setup(params: dict, rng: np.random.Generator) -> dict:
+    bn = nn.BatchNorm2d(params["channels"])
+    shape = (params["batch"], params["size"], params["size"], params["channels"])
+    bn(rng.normal(size=shape).transpose(0, 3, 1, 2))  # running statistics
+    bn.eval()
+    # An NCHW view of NHWC memory, the layout a Conv2d output has.
+    return {"layer": bn, "x": rng.normal(size=shape).transpose(0, 3, 1, 2)}
+
+
+@benchmark(
+    "batchnorm2d/forward_eval",
+    params={
+        "fast": {"batch": 4, "channels": 16, "size": 10},
+        "full": {"batch": 16, "channels": 16, "size": 32},
+    },
+    setup=_bn_eval_setup,
+    description="BatchNorm2d eval-mode forward (fused per-channel affine)",
+)
+def _bn_forward_eval(state):
+    return state["layer"](state["x"])
 
 
 def _fault_map_setup(params: dict, rng: np.random.Generator) -> dict:

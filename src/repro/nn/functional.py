@@ -1,9 +1,10 @@
 """Low-level array operations shared by the layers.
 
-The convolution layers are built on the classic ``im2col``/``col2im``
-lowering: a convolution becomes one big matrix multiply, and its backward
-pass becomes a matrix multiply plus a ``col2im`` scatter.  This keeps every
-gradient an explicit, testable numpy expression.
+``im2col``/``col2im`` lower a strided window into one patch row per
+output pixel and scatter-add patches back.  Pooling and the crossbar
+``AnalogConv2d`` (whose MVM takes patch rows) use them, and the tests use
+them as the reference for ``Conv2d``, which convolves by shift-accumulate
+over its padded NHWC input instead (see :mod:`repro.nn.conv`).
 """
 
 from __future__ import annotations

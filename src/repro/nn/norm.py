@@ -42,37 +42,45 @@ class _BatchNorm(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         axes = self._reduce_axes(x)
         shape = self._channel_shape(x)
-        if self.training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            m = float(np.prod([x.shape[a] for a in axes]))
-            # Running var uses the unbiased estimator, as in PyTorch.
-            unbiased = var * m / max(m - 1.0, 1.0)
-            self.set_buffer(
-                "running_mean",
-                (1 - self.momentum) * self.running_mean + self.momentum * mean,
-            )
-            self.set_buffer(
-                "running_var",
-                (1 - self.momentum) * self.running_var + self.momentum * unbiased,
-            )
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if not self.training:
+            # One fused per-channel affine on the running statistics; the
+            # output keeps the input's memory layout.
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            scale = self.gamma.data * inv_std
+            self._cache = (x, inv_std, axes, shape, self.running_mean)
+            out = x * scale.reshape(shape)
+            out += (self.beta.data - self.running_mean * scale).reshape(shape)
+            return out
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        m = float(np.prod([x.shape[a] for a in axes]))
+        # Running var uses the unbiased estimator, as in PyTorch.
+        unbiased = var * m / max(m - 1.0, 1.0)
+        self.set_buffer(
+            "running_mean",
+            (1 - self.momentum) * self.running_mean + self.momentum * mean,
+        )
+        self.set_buffer(
+            "running_var",
+            (1 - self.momentum) * self.running_var + self.momentum * unbiased,
+        )
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-        self._cache = (x_hat, inv_std, axes, shape)
+        self._cache = (x_hat, inv_std, axes, shape, None)
         return self.gamma.data.reshape(shape) * x_hat + self.beta.data.reshape(shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        x_hat, inv_std, axes, shape = self._cache
+        cached, inv_std, axes, shape, eval_mean = self._cache
+        x_hat = cached
+        if eval_mean is not None:
+            # Eval mode cached its input; mean/var are constants.
+            x_hat = (cached - eval_mean.reshape(shape)) * inv_std.reshape(shape)
         self.gamma.grad += (grad_out * x_hat).sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
         grad_xhat = grad_out * self.gamma.data.reshape(shape)
-        if not self.training:
-            # Eval mode: mean/var are constants.
+        if eval_mean is not None:
             return grad_xhat * inv_std.reshape(shape)
         m = float(np.prod([grad_out.shape[a] for a in axes]))
         sum_g = grad_xhat.sum(axis=axes).reshape(shape)

@@ -38,6 +38,7 @@ def test_list_shows_default_suite(capsys):
     for name in (
         "conv2d/forward",
         "conv2d/backward",
+        "batchnorm2d/forward_eval",
         "faults/sample_fault_map",
         "faults/apply",
         "crossbar/map_matrix",

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.models import resnet8
+from repro.nn import functional as F
 from repro.nn.gradcheck import check_layer_gradients
 
 TOL = 1e-5
@@ -79,14 +81,63 @@ def _naive_conv(x, weight, bias, stride, padding):
     return out
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 0)])
-def test_conv_forward_matches_naive(rng, stride, padding):
-    layer = nn.Conv2d(2, 3, 3, stride=stride, padding=padding, rng=rng)
-    x = rng.normal(size=(2, 2, 6, 6))
+def _nhwc_memory(x):
+    """The same values as an NCHW view of NHWC memory, as layers pass them."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "stride,padding,kernel,size,nhwc",
+    [
+        pytest.param(1, 0, 3, (6, 6), False, id="1-0"),
+        pytest.param(1, 1, 3, (6, 6), False, id="1-1"),
+        pytest.param(2, 1, 3, (6, 6), False, id="2-1"),
+        pytest.param(2, 0, 3, (6, 6), False, id="2-0"),
+        pytest.param(1, 0, 1, (6, 6), False, id="k1"),
+        pytest.param(2, 0, 1, (7, 5), False, id="k1-stride2-odd"),
+        pytest.param(2, 1, 3, (7, 10), False, id="non-square"),
+        pytest.param(1, 1, 3, (6, 5), True, id="nhwc-memory"),
+    ],
+)
+def test_conv_forward_matches_naive(rng, stride, padding, kernel, size, nhwc):
+    layer = nn.Conv2d(2, 3, kernel, stride=stride, padding=padding, rng=rng)
+    x = rng.normal(size=(2, 2) + size)
     expected = _naive_conv(
         x, layer.weight.data, layer.bias.data, stride, padding
     )
+    if nhwc:
+        x = _nhwc_memory(x)
     np.testing.assert_allclose(layer(x), expected, atol=1e-12)
+
+
+def _im2col_conv_backward(layer, x, grad_out):
+    """``(dx, dW, db)`` of the im2col/col2im lowering, as a reference."""
+    k, s, p = layer.kernel_size, layer.stride, layer.padding
+    cols, _, _ = F.im2col(x, k, s, p)
+    rows = grad_out.transpose(0, 2, 3, 1).reshape(-1, layer.out_channels)
+    weight_mat = layer.weight.data.reshape(layer.out_channels, -1)
+    grad_w = (rows.T @ cols).reshape(layer.weight.shape)
+    grad_x = F.col2im(rows @ weight_mat, x.shape, k, s, p)
+    return grad_x, grad_w, rows.sum(axis=0)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 3])
+@pytest.mark.parametrize("cin,cout", [(16, 16), (16, 32)])
+def test_conv_backward_matches_im2col_reference(rng, cin, cout, kernel, stride):
+    layer = nn.Conv2d(cin, cout, kernel, stride=stride, padding=kernel // 2, rng=rng)
+    x = _nhwc_memory(rng.normal(size=(3, cin, 8, 8)))
+    grad_out = _nhwc_memory(rng.normal(size=layer(x).shape))
+    layer.zero_grad()
+    grad_x = layer.backward(grad_out)
+    got = (grad_x, layer.weight.grad, layer.bias.grad)
+    for name, actual, want in zip(
+        ("dx", "dW", "db"), got, _im2col_conv_backward(layer, x, grad_out)
+    ):
+        assert actual.shape == want.shape, name
+        np.testing.assert_allclose(
+            actual, want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=name
+        )
 
 
 def test_conv_1x1_matches_linear_per_pixel(rng):
@@ -101,6 +152,13 @@ def test_conv_1x1_matches_linear_per_pixel(rng):
 @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1)])
 def test_conv_gradcheck(rng, stride, padding):
     layer = nn.Conv2d(2, 2, 3, stride=stride, padding=padding, rng=rng)
+    assert_gradients_ok(layer, rng.normal(size=(2, 2, 5, 5)))
+
+
+def test_conv_gradcheck_1x1_stride2_shortcut(rng):
+    # The ResNet downsampling shortcut; the odd side leaves input pixels
+    # no tap reads, whose gradient must be zero.
+    layer = nn.Conv2d(2, 3, 1, stride=2, padding=0, bias=False, rng=rng)
     assert_gradients_ok(layer, rng.normal(size=(2, 2, 5, 5)))
 
 
@@ -164,6 +222,52 @@ def test_batchnorm_eval_uses_running_stats(rng):
     x = rng.normal(size=(4, 2))
     expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
     np.testing.assert_allclose(bn(x), expected, atol=1e-12)
+
+
+def test_batchnorm2d_eval_output_matches_formula(rng):
+    bn = nn.BatchNorm2d(3)
+    bn.gamma.data[:] = [0.5, -1.5, 2.0]
+    bn.beta.data[:] = [0.1, -0.3, 1.2]
+    bn.set_buffer("running_mean", np.array([0.4, -2.0, 3.0]))
+    bn.set_buffer("running_var", np.array([0.25, 4.0, 9.0]))
+    bn.eval()
+    x = _nhwc_memory(rng.normal(loc=1.0, scale=2.0, size=(4, 3, 5, 6)))
+    shape = (1, 3, 1, 1)
+    expected = bn.gamma.data.reshape(shape) * (
+        x - bn.running_mean.reshape(shape)
+    ) / np.sqrt(bn.running_var.reshape(shape) + bn.eps) + bn.beta.data.reshape(shape)
+    np.testing.assert_allclose(bn(x), expected, rtol=0, atol=1e-12)
+
+
+def _cached_arrays(module):
+    """Every ndarray a module holds outside its parameters and buffers."""
+    buffers = {id(value) for value in module._buffers.values()}
+    for value in vars(module).values():
+        if isinstance(value, dict):
+            value = tuple(value.values())
+        for item in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(item, np.ndarray) and id(item) not in buffers:
+                yield item
+
+
+def test_eval_forward_memory_is_bounded(rng):
+    """After an eval forward no layer holds more than its own input."""
+    model = resnet8(rng=rng).eval()
+    inputs = {}
+    for module in model.modules():
+        if isinstance(module, (nn.Conv2d, nn.BatchNorm2d)):
+            module.register_forward_hook(
+                lambda m, x, out: inputs.__setitem__(m, x)
+            )
+    model(rng.normal(size=(4, 3, 12, 12)))
+    for module, x in inputs.items():
+        arrays = list(_cached_arrays(module))
+        if isinstance(module, nn.Conv2d):
+            n, c, h, w = x.shape
+            bound = n * (h + 2 * module.padding) * (w + 2 * module.padding) * c
+            assert arrays and max(a.size for a in arrays) <= bound
+        else:
+            assert all(a is x or a.size <= module.num_features for a in arrays)
 
 
 def test_batchnorm_rejects_bad_shapes(rng):
