@@ -32,8 +32,10 @@ def recalibrate_batchnorm(
 ) -> int:
     """Re-estimate all BatchNorm running statistics by forward passes.
 
-    Runs the model in train mode (statistics update) but restores the
-    original training flag afterwards; parameters are never touched.
+    Runs the model in train mode (statistics update) under
+    :func:`repro.nn.no_grad`, so no layer keeps a backward cache, and
+    restores the original training flag afterwards; parameters are never
+    touched.
 
     Parameters
     ----------
@@ -65,11 +67,12 @@ def recalibrate_batchnorm(
     model.train()
     consumed = 0
     try:
-        for images, _ in loader:
-            model(images)
-            consumed += 1
-            if num_batches is not None and consumed >= num_batches:
-                break
+        with nn.no_grad():
+            for images, _ in loader:
+                model(images)
+                consumed += 1
+                if num_batches is not None and consumed >= num_batches:
+                    break
     finally:
         for layer, m in zip(bn_layers, saved_momentum):
             layer.momentum = m

@@ -42,16 +42,24 @@ __all__ = [
 
 
 def evaluate_accuracy(model: nn.Module, loader: DataLoader) -> float:
-    """Top-1 accuracy (%) of ``model`` on ``loader`` in eval mode."""
+    """Top-1 accuracy (%) of ``model`` on ``loader`` in eval mode.
+
+    The forwards run under :func:`repro.nn.no_grad` (no backward state,
+    fused conv → BN → ReLU); the training mode is restored even when a
+    forward raises.
+    """
     was_training = model.training
     model.eval()
     correct = 0
     total = 0
-    for images, labels in loader:
-        logits = model(images)
-        correct += int((logits.argmax(axis=1) == labels).sum())
-        total += len(labels)
-    model.train(was_training)
+    try:
+        with nn.no_grad():
+            for images, labels in loader:
+                logits = model(images)
+                correct += int((logits.argmax(axis=1) == labels).sum())
+                total += len(labels)
+    finally:
+        model.train(was_training)
     if total == 0:
         raise ValueError("loader yielded no samples")
     return 100.0 * correct / total

@@ -178,14 +178,16 @@ class DeviationProbe:
         try:
             for images, labels in loader:
                 captured.clear()
-                clean_logits = self.model(images)
+                with nn.no_grad():
+                    clean_logits = self.model(images)
                 clean_acts = dict(captured)
                 for param, _, value in swaps:
                     # Probe-owned swap; pristine values restored below.
                     param.data[...] = value  # repro-lint: disable=RL006
                 try:
                     captured.clear()
-                    faulted_logits = self.model(images)
+                    with nn.no_grad():
+                        faulted_logits = self.model(images)
                     fault_acts = dict(captured)
                 finally:
                     for param, pristine, _ in swaps:

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .. import nn
+from ..nn.fusion import conv_bn, relu_inplace
 from ..seeding import resolve_rng
 
 __all__ = [
@@ -32,7 +33,9 @@ class BasicBlock(nn.Module):
     """Two 3x3 conv-BN-ReLU units with an additive skip connection.
 
     When the block changes resolution or width, the shortcut is a strided
-    1x1 conv + BN (ResNet "option B").
+    1x1 conv + BN (ResNet "option B").  Under :func:`repro.nn.no_grad`
+    each conv → BN (→ ReLU) unit runs as one fused conv pass and the
+    output ReLU clamps the residual sum in place (:mod:`repro.nn.fusion`).
     """
 
     def __init__(
@@ -66,8 +69,9 @@ class BasicBlock(nn.Module):
         self.relu_out = nn.ReLU()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        body = self.bn2(self.conv2(self.relu1(self.bn1(self.conv1(x)))))
-        return self.relu_out(body + self.shortcut(x))
+        hidden = conv_bn(x, self.conv1, self.bn1, self.relu1)
+        body = conv_bn(hidden, self.conv2, self.bn2)
+        return relu_inplace(body + self.shortcut(x), self.relu_out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_sum = self.relu_out.backward(grad_out)

@@ -26,7 +26,13 @@ from .lr_scheduler import (
     StepLR,
     WarmupLR,
 )
-from .module import Module, Parameter, RemovableHandle
+from .module import (
+    Module,
+    Parameter,
+    RemovableHandle,
+    is_grad_enabled,
+    no_grad,
+)
 from .norm import BatchNorm1d, BatchNorm2d, GroupNorm
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .pooling import AvgPool2d, Flatten, GlobalAvgPool2d, MaxPool2d
@@ -41,6 +47,8 @@ __all__ = [
     "Module",
     "Parameter",
     "RemovableHandle",
+    "no_grad",
+    "is_grad_enabled",
     "Sequential",
     "Residual",
     "Conv2d",

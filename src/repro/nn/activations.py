@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -20,8 +20,9 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self.save_for_backward(_mask=mask)
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -38,8 +39,9 @@ class LeakyReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        self.save_for_backward(_mask=mask)
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -55,8 +57,9 @@ class Tanh(Module):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self.save_for_backward(_out=out)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -72,8 +75,9 @@ class Sigmoid(Module):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = 1.0 / (1.0 + np.exp(-x))
-        return self._out
+        out = 1.0 / (1.0 + np.exp(-x))
+        self.save_for_backward(_out=out)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -104,17 +108,19 @@ class Dropout(Module):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = resolve_rng(rng)
-        self._mask: Optional[np.ndarray] = None
+        # 1.0 after an identity (eval or p=0) forward.
+        self._mask: Optional[Union[np.ndarray, float]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:
-            self._mask = None
+            self.save_for_backward(_mask=1.0)
             return x
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        mask = (self.rng.random(x.shape) < keep) / keep
+        self.save_for_backward(_mask=mask)
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            return grad_out
+            raise RuntimeError("backward called before forward")
         return grad_out * self._mask

@@ -6,6 +6,7 @@ from typing import List
 
 import numpy as np
 
+from .fusion import conv_epilogue
 from .module import Module
 
 __all__ = ["Sequential", "Residual"]
@@ -44,8 +45,18 @@ class Sequential(Module):
         return iter(self._layers)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self._layers:
-            x = layer(x)
+        layers = self._layers
+        i = 0
+        while i < len(layers):
+            # Under no_grad() a Conv2d → BatchNorm2d (→ ReLU) run is one pass.
+            run = layers[i : i + 3]
+            epilogue = conv_epilogue(*run) if len(run) > 1 else None
+            if epilogue is None:
+                x = layers[i](x)
+                i += 1
+            else:
+                x = layers[i].forward(x, epilogue)
+                i += 3 if epilogue[2] else 2
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

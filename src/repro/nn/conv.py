@@ -3,11 +3,12 @@
 The input is zero-padded once into NHWC memory, split into its stride
 phases and flattened to rows of ``C`` channels.  Every kernel tap then
 reads one contiguous row range of one phase, so the convolution is a sum
-of ``k*k`` matmuls ``rows @ W[:, :, i, j].T`` with no patch matrix.  The
-output is computed on the phase grid and cropped to its valid pixels.
+of ``k*k`` matmuls ``rows @ W[:, :, i, j].T`` with no patch matrix,
+summed over blocks of output rows.  The output is computed on
+the phase grid and cropped to its valid pixels.
 Backward reuses the same row ranges for the weight gradient and
 scatter-adds the input gradient tap by tap.  The layer caches only the
-padded input.
+padded input, and nothing under :func:`~repro.nn.no_grad`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,19 @@ from . import init
 from .functional import conv_output_size
 from .module import Module, Parameter
 
-__all__ = ["Conv2d"]
+__all__ = ["Conv2d", "Epilogue"]
+
+#: Per-channel ``(scale, shift, relu)`` that ``Conv2d.forward`` applies to
+#: its summed rows: an eval-mode BatchNorm, then optionally a ReLU.
+Epilogue = Tuple[np.ndarray, np.ndarray, bool]
+
+#: Output rows per block of the forward tap loop.  Measured, not derived:
+#: with a 2 MiB L2 per core (x86_64, OpenBLAS), a ResNet-20 eval forward at
+#: batch 128 ran 0.79-0.82x the unblocked time at 2048 rows, 0.82-0.85x at
+#: 1024 and 0.89-0.91x at 4096 (no_grad, fused).  The fastest block did not
+#: move with the channel count (16 to 64), and a ResNet-8 training step at
+#: 12x12 did not move at all.
+_ROW_BLOCK = 2048
 
 
 class Conv2d(Module):
@@ -31,6 +44,17 @@ class Conv2d(Module):
     (CIFAR-style ResNets) uses 3x3 and 1x1 kernels.  Outputs and input
     gradients are NCHW views of NHWC memory, which the next layer's
     transpose to NHWC gets for free.
+
+    ``forward`` takes an optional ``epilogue`` ``(scale, shift, relu)``,
+    an eval-mode BatchNorm (and ReLU) applied in the same pass: each
+    block of summed rows is multiplied by ``scale``,
+    shifted by ``shift`` and, when ``relu`` is true, clamped at zero, all
+    in place, before the crop copies the valid pixels out.  These are
+    BatchNorm's own elementwise operations in its order, so the values
+    equal the separate passes' (the clamp may differ from ``ReLU`` only
+    in the sign of a zero).  :func:`repro.nn.fusion.conv_epilogue` builds
+    an epilogue only under :func:`~repro.nn.no_grad`, for a hook-free
+    ``Conv2d`` → eval-mode ``BatchNorm2d`` (→ ``ReLU``) run.
 
     Parameters
     ----------
@@ -98,7 +122,9 @@ class Conv2d(Module):
         ]
         return hq, wq, n * hq * wq - taps[-1][4], taps
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, epilogue: Optional[Epilogue] = None
+    ) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"expected input (N, {self.in_channels}, H, W), got {x.shape}"
@@ -118,25 +144,35 @@ class Conv2d(Module):
         phases = padded.reshape(n, hq, s, wq, s, c)[:, :, :m, :, :m]
         phases = np.ascontiguousarray(phases.transpose(2, 4, 0, 1, 3, 5))
         phases = phases.reshape(m, m, n * hq * wq, c)
-        self._phases = phases
-        self._x_shape = x.shape
+        self.save_for_backward(_phases=phases, _x_shape=x.shape)
 
         w_taps = np.ascontiguousarray(self.weight.data.transpose(2, 3, 1, 0))
         out = np.empty((n * hq * wq, oc), dtype=dtype)
-        acc = out[:rows]
-        (i, j, a, b, off), rest = taps[0], taps[1:]
-        np.matmul(phases[a, b, off : off + rows], w_taps[i, j], out=acc)
-        tmp = np.empty_like(acc)
-        for i, j, a, b, off in rest:
-            np.matmul(phases[a, b, off : off + rows], w_taps[i, j], out=tmp)
-            acc += tmp
-        # Crop to the valid pixels in one compact copy, adding the bias.
+        tmp = np.empty((min(rows, _ROW_BLOCK), oc), dtype=dtype)
+        bias = None if self.bias is None else self.bias.data
+        scale, shift, relu = epilogue or (None, None, False)
+        # Sum the taps block by block, then add the bias and apply the
+        # epilogue while the block's partial sum is still recent (see
+        # _ROW_BLOCK).  Each output value still comes from the same
+        # operations in the same order.
+        for start in range(0, rows, _ROW_BLOCK):
+            stop = min(start + _ROW_BLOCK, rows)
+            acc, part = out[start:stop], tmp[: stop - start]
+            for t, (i, j, a, b, off) in enumerate(taps):
+                rows_in = phases[a, b, off + start : off + stop]
+                np.matmul(rows_in, w_taps[i, j], out=part if t else acc)
+                if t:
+                    acc += part
+            if bias is not None:
+                acc += bias
+            if scale is not None:
+                acc *= scale
+                acc += shift
+            if relu:
+                np.maximum(acc, 0, out=acc)
+        # Crop to the valid pixels in one compact copy.
         out = out.reshape(n, hq, wq, oc)[:, :out_h, :out_w]
-        if self.bias is not None:
-            out = out + self.bias.data
-        else:
-            out = np.ascontiguousarray(out)
-        return out.transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(out).transpose(0, 3, 1, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._phases is None or self._x_shape is None:

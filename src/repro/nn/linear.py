@@ -49,7 +49,7 @@ class Linear(Module):
             raise ValueError(
                 f"expected input (N, {self.in_features}), got {x.shape}"
             )
-        self._input = x
+        self.save_for_backward(_input=x)
         out = x @ self.weight.data.T
         if self.bias is not None:
             out = out + self.bias.data

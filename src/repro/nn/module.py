@@ -6,6 +6,13 @@ stack used by the paper.  It is layer-based rather than tape-based: every
 stores whatever intermediate values its backward pass needs on ``self``
 during ``forward``.  Gradients accumulate into :attr:`Parameter.grad`.
 
+Inside :func:`no_grad` a forward keeps no backward state: every layer sets
+its cached values to ``None``, so a later ``backward`` raises, and
+containers may fuse a conv → eval BatchNorm (→ ReLU) run into one conv
+pass (:mod:`repro.nn.fusion`).  Monte Carlo fault draws evaluate this way.
+Outside it, training- and eval-mode forwards both cache what backward
+needs.
+
 The design goal is correctness and clarity (every backward pass is verified
 against numerical gradients in the test suite), not raw speed.
 """
@@ -13,15 +20,52 @@ against numerical gradients in the test suite), not raw speed.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Parameter", "Module", "RemovableHandle"]
+__all__ = [
+    "Parameter",
+    "Module",
+    "RemovableHandle",
+    "no_grad",
+    "is_grad_enabled",
+]
 
 #: Process-wide id source for hook handles (unique across all modules).
 _hook_ids = itertools.count()
+
+
+class _GradMode(threading.local):
+    """Per-thread flag: whether forwards keep backward state."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+def is_grad_enabled() -> bool:
+    """``False`` inside :func:`no_grad` (in this thread), ``True`` otherwise."""
+    return _grad_mode.enabled
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run forwards for inference only: no backward state is kept.
+
+    Applies to the calling thread; nests, and restores the previous state
+    on exit, exceptions included.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 class RemovableHandle:
@@ -119,6 +163,16 @@ class Module:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Compute the layer's output, caching what backward needs."""
         raise NotImplementedError
+
+    def save_for_backward(self, **state: object) -> None:
+        """Set each ``name=value`` as an attribute for ``backward`` to read.
+
+        Under :func:`no_grad` every named attribute is set to ``None``
+        instead, so no stale state from an earlier forward survives.
+        """
+        keep = _grad_mode.enabled
+        for name, value in state.items():
+            object.__setattr__(self, name, value if keep else None)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; return the input gradient."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -39,17 +39,24 @@ class _BatchNorm(Module):
     def _channel_shape(self, x: np.ndarray) -> tuple:
         raise NotImplementedError
 
+    def eval_affine(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-channel ``(inv_std, scale, shift)`` of the eval-mode forward."""
+        inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+        scale = self.gamma.data * inv_std
+        return inv_std, scale, self.beta.data - self.running_mean * scale
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         axes = self._reduce_axes(x)
         shape = self._channel_shape(x)
         if not self.training:
             # One fused per-channel affine on the running statistics; the
             # output keeps the input's memory layout.
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            scale = self.gamma.data * inv_std
-            self._cache = (x, inv_std, axes, shape, self.running_mean)
+            inv_std, scale, shift = self.eval_affine()
+            self.save_for_backward(
+                _cache=(x, inv_std, axes, shape, self.running_mean)
+            )
             out = x * scale.reshape(shape)
-            out += (self.beta.data - self.running_mean * scale).reshape(shape)
+            out += shift.reshape(shape)
             return out
         mean = x.mean(axis=axes)
         var = x.var(axis=axes)
@@ -66,7 +73,7 @@ class _BatchNorm(Module):
         )
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-        self._cache = (x_hat, inv_std, axes, shape, None)
+        self.save_for_backward(_cache=(x_hat, inv_std, axes, shape, None))
         return self.gamma.data.reshape(shape) * x_hat + self.beta.data.reshape(shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -160,7 +167,7 @@ class GroupNorm(Module):
         var = grouped.var(axis=2, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = ((grouped - mean) * inv_std).reshape(n, c, h, w)
-        self._cache = (x_hat, inv_std, (n, c, h, w))
+        self.save_for_backward(_cache=(x_hat, inv_std, (n, c, h, w)))
         return (
             self.gamma.data.reshape(1, c, 1, 1) * x_hat
             + self.beta.data.reshape(1, c, 1, 1)

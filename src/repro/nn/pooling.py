@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .functional import conv_output_size, im2col
-from .module import Module
+from .module import Module, is_grad_enabled
 
 __all__ = ["MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten"]
 
@@ -32,9 +32,11 @@ class MaxPool2d(Module):
         out_w = conv_output_size(w, k, s, 0)
         # Pool each channel independently by treating channels as batch.
         cols, _, _ = im2col(x.reshape(n * c, 1, h, w), k, s, 0)
-        self._argmax = cols.argmax(axis=1)
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
+        self.save_for_backward(
+            _argmax=cols.argmax(axis=1) if is_grad_enabled() else None,
+            _x_shape=x.shape,
+            _out_hw=(out_h, out_w),
+        )
         out = cols.max(axis=1)
         return out.reshape(n, c, out_h, out_w)
 
@@ -71,8 +73,7 @@ class AvgPool2d(Module):
         out_h = conv_output_size(h, k, s, 0)
         out_w = conv_output_size(w, k, s, 0)
         cols, _, _ = im2col(x.reshape(n * c, 1, h, w), k, s, 0)
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
+        self.save_for_backward(_x_shape=x.shape, _out_hw=(out_h, out_w))
         return cols.mean(axis=1).reshape(n, c, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -96,7 +97,7 @@ class GlobalAvgPool2d(Module):
         self._x_shape: Optional[Tuple[int, int, int, int]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
+        self.save_for_backward(_x_shape=x.shape)
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -116,7 +117,7 @@ class Flatten(Module):
         self._x_shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
+        self.save_for_backward(_x_shape=x.shape)
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

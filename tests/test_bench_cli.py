@@ -53,7 +53,7 @@ def test_list_shows_default_suite(capsys):
 # -- run --------------------------------------------------------------------
 
 
-def test_run_writes_schema_valid_bench_file(tmp_path, capsys):
+def test_run_writes_schema_valid_bench_file(tmp_path, capsys, head_sha):
     out = str(tmp_path / "BENCH_0.json")
     code = bench_main(
         [
@@ -81,7 +81,7 @@ def test_run_writes_schema_valid_bench_file(tmp_path, capsys):
     assert case["repeats"] == 3
     assert case["stats"]["median"] > 0.0
     assert "mad" in case["stats"] and "p95" in case["stats"]
-    assert doc["provenance"]["git_sha"]
+    assert doc["provenance"]["git_sha"] == head_sha
     assert doc["provenance"]["numpy"]
     captured = capsys.readouterr().out
     assert "faults/sample_fault_map" in captured

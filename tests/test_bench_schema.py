@@ -41,13 +41,14 @@ def test_build_document_is_schema_valid():
     assert doc["schema_version"] == SCHEMA_VERSION
 
 
-def test_provenance_fields_present():
+def test_provenance_fields_present(head_sha):
     prov = collect_provenance()
     for key in ("git_sha", "python", "numpy", "platform", "cpu_count",
                 "timestamp", "machine", "git_dirty"):
         assert key in prov
-    # This test runs inside the repo's git checkout.
-    assert isinstance(prov["git_sha"], str) and len(prov["git_sha"]) == 40
+    # The SHA of the checkout the test runs in, or None outside git.
+    assert prov["git_sha"] == head_sha
+    assert head_sha is None or len(head_sha) == 40
     assert prov["python"].count(".") >= 1
 
 

@@ -63,6 +63,28 @@ def test_parameters_untouched(cnn_setup):
         np.testing.assert_array_equal(p.data, before[n])
 
 
+def test_running_stats_match_plain_train_forwards(cnn_setup):
+    """Recalibration's forwards run under no_grad(); the running
+    statistics are bit-identical to plain train-mode forwards'."""
+    model, train, _ = cnn_setup
+    loader = DataLoader(train.dataset, 40, shuffle=False)
+    reference = copy.deepcopy(model)
+    recalibrate_batchnorm(model, loader, momentum=None)
+    reference.train()
+    for images, _ in loader:
+        reference(images)
+    for (name, got), (_, want) in zip(
+        model.named_buffers(), reference.named_buffers()
+    ):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert not any(
+        isinstance(value, np.ndarray)
+        for module in model.modules()
+        if isinstance(module, nn.Conv2d)
+        for value in vars(module).values()
+    )
+
+
 def test_buffers_change(cnn_setup, rng):
     model, train, _ = cnn_setup
     # Perturb weights so the statistics genuinely shift.

@@ -48,6 +48,20 @@ def test_accuracy_restores_training_mode():
     assert not model.training
 
 
+def test_accuracy_restores_mode_and_grad_when_forward_raises():
+    class Failing(ConstantModel):
+        def forward(self, x):
+            assert not nn.is_grad_enabled()
+            raise FloatingPointError("forward failed")
+
+    model = Failing(2)
+    model.train()
+    with pytest.raises(FloatingPointError):
+        evaluate_accuracy(model, make_loader([0, 1]))
+    assert model.training
+    assert nn.is_grad_enabled()
+
+
 def test_accuracy_empty_loader_raises():
     loader = DataLoader(
         ArrayDataset(np.zeros((3, 1)), np.zeros(3, dtype=int)),

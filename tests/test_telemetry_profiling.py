@@ -9,6 +9,7 @@ flame CLI's exit codes, and the documented ≤5% overhead budget.
 
 import json
 import os
+import statistics
 import threading
 import time
 
@@ -479,27 +480,38 @@ def test_sampling_does_not_slow_the_defect_eval_smoke():
     anything near tracing-profiler territory.  The bound is deliberately
     loose (25%) because shared-runner wall-clock noise exceeds the real
     ≤5% budget verified per-sample above; what this catches is a switch
-    to per-call hooks (10x+) or a runaway sample rate."""
+    to per-call hooks (10x+) or a runaway sample rate.
+
+    Plain and profiled runs are timed as adjacent pairs, alternating
+    which goes first, and the bound applies to the median of the
+    per-pair ratios: a burst of host load lands inside one pair and
+    moves one ratio, not the verdict."""
     model, loader = _smoke_inputs()
 
-    def smoke():
+    def timed_smoke(profiled):
+        sampler = StackSampler()
+        if profiled:
+            sampler.start()
+        start = time.perf_counter()
         evaluate_defect_accuracy(
             model, loader, 0.05, num_runs=300, seed=3, workers=0
         )
+        elapsed = time.perf_counter() - start
+        if profiled:
+            assert sampler.stop().samples > 0
+        return elapsed
 
-    smoke()  # warm caches before timing anything
-    plain, profiled = [], []
-    for _ in range(5):
-        start = time.perf_counter()
-        smoke()
-        plain.append(time.perf_counter() - start)
-        sampler = StackSampler()
-        with sampler:
-            start = time.perf_counter()
-            smoke()
-            profiled.append(time.perf_counter() - start)
-        assert sampler.stop().samples > 0
-    assert min(profiled) <= min(plain) * 1.25
+    timed_smoke(False)  # warm caches before timing anything
+    ratios = []
+    for pair in range(9):
+        if pair % 2:
+            profiled = timed_smoke(True)
+            plain = timed_smoke(False)
+        else:
+            plain = timed_smoke(False)
+            profiled = timed_smoke(True)
+        ratios.append(profiled / plain)
+    assert statistics.median(ratios) <= 1.25, sorted(ratios)
 
 
 # -- flame CLI ----------------------------------------------------------------
